@@ -60,6 +60,7 @@ from .errors import (
 from .forms import (
     ExactnessReport,
     MeromorphicOneForm,
+    SingularPoint,
     build_third_kind,
     check_hypotheses,
     divisor_of_form,
@@ -69,6 +70,7 @@ from .forms import (
 )
 from .metric import (
     CurvatureReport,
+    DensityField,
     GridSpec,
     MetricField,
     gauss_curvature_fd,
@@ -91,5 +93,6 @@ from .singularities import (
     estimate_cone_angle,
     gauss_bonnet_check,
     predicted_divisor,
+    singular_point_info,
     total_metric_area,
 )

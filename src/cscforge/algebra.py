@@ -36,7 +36,6 @@ __all__ = [
     "residue_at_infinity",
     "pole_order_at_infinity",
     "one_form_divisor",
-    "exact_gcd",
 ]
 
 
@@ -384,41 +383,6 @@ class ComplexPolynomial:
         return np.roots(self.to_complex_array()[::-1])
 
 
-def exact_divmod(a: ComplexPolynomial, b: ComplexPolynomial):
-    """Exact polynomial division with remainder (both operands exact)."""
-    if not (a.exact and b.exact):
-        raise ValueError("exact_divmod requires exact polynomials")
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    q = [ExactComplex(0)] * max(0, len(rem) - len(b.coeffs) + 1)
-    bl = b.coeffs[-1]
-    while len(rem) >= len(b.coeffs) and rem:
-        k = len(rem) - len(b.coeffs)
-        factor = rem[-1] / bl
-        q[k] = factor
-        for i, c in enumerate(b.coeffs):
-            rem[k + i] = rem[k + i] - factor * c
-        while rem and rem[-1].is_zero:
-            rem.pop()
-    return (
-        ComplexPolynomial(q, exact=True),
-        ComplexPolynomial(rem, exact=True),
-    )
-
-
-def exact_gcd(a: ComplexPolynomial, b: ComplexPolynomial) -> ComplexPolynomial:
-    """Monic gcd of two exact polynomials via the Euclidean algorithm."""
-    if not (a.exact and b.exact):
-        raise ValueError("exact_gcd requires exact polynomials")
-    while not b.is_zero:
-        _, r = exact_divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a.scale(ExactComplex(1) / a.leading_coefficient)
-
-
 # ---------------------------------------------------------------------------
 # Root clustering with contour-confirmed multiplicities
 # ---------------------------------------------------------------------------
@@ -492,15 +456,16 @@ def _clustered_roots(poly: ComplexPolynomial, gather_radius: float = 2e-3
 
 
 class RationalFunction:
-    """Ratio of two polynomials, reduced and with a monic denominator.
+    """Ratio of two polynomials with a monic denominator.
 
-    Reduction cancels shared roots: by exact gcd in the exact regime, by
-    root clustering (1e-9 relative identification) in the floating regime.
+    No common factors are cancelled: callers build the two polynomials
+    coprime (the forms of this package have distinct poles with nonzero
+    residues).
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den, reduce: bool = True):
+    def __init__(self, num, den):
         if not isinstance(num, ComplexPolynomial):
             num = ComplexPolynomial(num)
         if not isinstance(den, ComplexPolynomial):
@@ -509,8 +474,6 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.exact != den.exact:
             num, den = num.to_float(), den.to_float()
-        if reduce and not num.is_zero:
-            num, den = self._reduce(num, den)
         lead = den.leading_coefficient
         if num.exact:
             if lead != ExactComplex(1):
@@ -524,35 +487,6 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @staticmethod
-    def _reduce(num: ComplexPolynomial, den: ComplexPolynomial):
-        if num.exact:
-            g = exact_gcd(num, den)
-            if g.degree > 0:
-                num, _ = exact_divmod(num, g)
-                den, _ = exact_divmod(den, g)
-            return num, den
-        if num.degree < 1 or den.degree < 1:
-            return num, den
-        nroots = _clustered_roots(num)
-        droots = _clustered_roots(den)
-        cancelled = False
-        for i, (nz, nm) in enumerate(nroots):
-            for j, (dz, dm) in enumerate(droots):
-                if dm and nm and abs(nz - dz) <= 1e-9 * max(1.0, abs(nz)):
-                    k = min(nm, dm)
-                    nroots[i] = (nz, nm - k)
-                    droots[j] = (dz, dm - k)
-                    cancelled = True
-        if not cancelled:
-            return num, den
-        def rebuild(poly, roots):
-            kept: List[complex] = []
-            for z, m in roots:
-                kept.extend([z] * m)
-            return ComplexPolynomial.from_roots(kept, leading=poly.leading_coefficient)
-        return rebuild(num, nroots), rebuild(den, droots)
 
     @property
     def exact(self) -> bool:
@@ -749,5 +683,5 @@ def one_form_divisor(eta: RationalFunction) -> Divisor:
         pairs.append((INFINITY, ord_inf))
     div = Divisor.from_pairs(pairs)
     if div.degree != -2:
-        raise ValueError(f"divisor degree {div.degree} != -2; eta not reduced?")
+        raise ValueError(f"divisor degree {div.degree} != -2: num and den share a root")
     return div

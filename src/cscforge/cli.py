@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -68,14 +66,6 @@ _PARSE_ERRORS = (
     TypeError,
     ValueError,
 )
-
-
-def worker_count() -> int:
-    """Parallelism cap from CSC_FORGE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CSC_FORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_complex(text: str) -> complex:
@@ -387,27 +377,10 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-class _ScaledDensity:
-    """Test hook: a field whose density is scaled by a constant factor."""
-
-    def __init__(self, inner, factor: float):
-        self._inner = inner
-        self._log_factor = math.log(factor)
-        self.K = inner.K
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def log_density_many(self, pts, chart="z"):
-        return self._inner.log_density_many(pts, chart) + self._log_factor
-
-
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     form = _load_form(args, cfg)
     field = _field(args, cfg, form)
-    if args.density_scale != 1.0:
-        field = _ScaledDensity(field, args.density_scale)
     grid = _setting(args, cfg, "grid")
     if grid is not None and not isinstance(grid, GridSpec):
         grid = _parse_grid(grid)
@@ -486,15 +459,7 @@ def cmd_verify(args) -> int:
             ("negation_invariance", check_negation),
             ("classification", check_classification),
         ]
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in jobs]
-            checks = {name: fut.result() for name, fut in futures}
-    else:
-        checks = {name: fn() for name, fn in jobs}
+    checks = {name: fn() for name, fn in jobs}
 
     all_pass = all(entry["pass"] for entry in checks.values())
     doc = {"checks": checks, "pass": bool(all_pass)}
@@ -567,8 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     p.add_argument("--grid", help="grid 'cx,cy,half,n' (default: auto)")
     p.add_argument("--h", type=float, help="stencil spacing (default 1e-3)")
-    p.add_argument("--density-scale", type=float, default=1.0,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return ap

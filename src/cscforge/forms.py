@@ -5,7 +5,11 @@ exact part H, so ``omega = sum lambda_i/(z - a_i) dz + dH``.  The hypotheses
 of the construction (all poles simple including infinity, all residues real
 and nonzero) are statements about this data, which keeps their validation
 structural.  The rational coefficient ``eta`` with ``omega = eta dz`` is
-built once and cached.
+built once and cached, and so is the table of the form's zeros and poles.
+
+A nonconstant H makes infinity a pole of order at least 2, so every form
+that satisfies the hypotheses has dH = 0: evaluation covers the pole part
+only, and H lives on in the schema, the hypothesis check and the divisor.
 """
 
 from __future__ import annotations
@@ -13,21 +17,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import (
+    INFINITY,
     ComplexPolynomial,
-    RationalFunction,
     Divisor,
-    one_form_divisor,
-    residue_at_infinity,
+    Point,
+    RationalFunction,
+    _clustered_roots,
+    _point_key,
+    _points_close,
 )
 from .errors import DuplicatePole, EvalAtPole, HypothesesFailed, ZeroResidue
 
 __all__ = [
     "MeromorphicOneForm",
+    "SingularPoint",
     "ExactnessReport",
     "build_third_kind",
     "check_hypotheses",
@@ -38,6 +47,20 @@ __all__ = [
 ]
 
 _RESIDUE_IMAG_TOL = 1e-12
+_LOCATION_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class SingularPoint:
+    """One zero or pole of a form on the sphere.
+
+    ``weight`` is the divisor weight: the order of a zero, minus the order
+    of a pole.  ``residue`` is set at poles and None at zeros.
+    """
+
+    location: Point
+    weight: int
+    residue: Optional[complex] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,23 +72,16 @@ class MeromorphicOneForm:
     eta: RationalFunction
 
     def __post_init__(self):
-        dh = self.exact_part.derivative().to_float()
-        object.__setattr__(self, "_dh", dh)
         locs = np.array([a for a, _ in self.poles], dtype=complex)
-        res = np.array([l for _, l in self.poles], dtype=complex)
         object.__setattr__(self, "_locs", locs)
-        object.__setattr__(self, "_res", res)
 
-    # -- evaluation --------------------------------------------------------
+    # -- evaluation (the pole part; see the module docstring) ---------------
 
     def eta_at(self, z: complex) -> complex:
         z = complex(z)
         acc = 0j
         for (a, lam) in self.poles:
             acc += lam / (z - a)
-        dh = self._dh
-        if not dh.is_zero:
-            acc += dh(z)
         return acc
 
     def eta_many(self, zs: np.ndarray) -> np.ndarray:
@@ -73,8 +89,6 @@ class MeromorphicOneForm:
         acc = np.zeros_like(zs)
         for (a, lam) in self.poles:
             acc += lam / (zs - a)
-        if not self._dh.is_zero:
-            acc += self._dh.eval_many(zs)
         return acc
 
     def potential(self, z: complex) -> float:
@@ -85,8 +99,6 @@ class MeromorphicOneForm:
         for (a, lam) in self.poles:
             d = z - a
             f += lam.real * math.log(d.real * d.real + d.imag * d.imag)
-        if not self.exact_part.is_zero:
-            f += 2.0 * self.exact_part(z).real
         return f
 
     def potential_many(self, zs: np.ndarray) -> np.ndarray:
@@ -96,22 +108,9 @@ class MeromorphicOneForm:
             for (a, lam) in self.poles:
                 d = zs - a
                 f += lam.real * np.log(d.real * d.real + d.imag * d.imag)
-        if not self.exact_part.is_zero:
-            f += 2.0 * self.exact_part.eval_many(zs).real
         return f
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def pole_locations(self) -> np.ndarray:
-        return self._locs
-
-    @property
-    def residues_real(self) -> bool:
-        return all(
-            abs(lam.imag) <= _RESIDUE_IMAG_TOL * max(1.0, abs(lam))
-            for _, lam in self.poles
-        )
 
     def min_pole_distance(self, z: complex) -> float:
         if not self.poles:
@@ -124,14 +123,37 @@ class MeromorphicOneForm:
                 raise EvalAtPole(f"evaluation at pole {a!r}")
 
     def residue_at_infinity(self) -> complex:
-        return complex(residue_at_infinity(self.eta))
+        """Minus the sum of the finite residues (dH has no residue)."""
+        return -sum((lam for _, lam in self.poles), 0j)
 
     def infinity_pole_order(self) -> int:
         """Order of the pole of the form at infinity (<= 0 means no pole)."""
         return self.eta.num.degree - self.eta.den.degree + 2
 
+    @cached_property
+    def singular_points(self) -> Tuple[SingularPoint, ...]:
+        """Every zero and pole of the form, infinity included, in divisor
+        order.  Poles sit exactly at their given locations; the zeros are
+        the roots of eta's numerator, which carries dH times the pole
+        polynomial, found once per form."""
+        table = [SingularPoint(z, m) for z, m in _clustered_roots(self.eta.num)]
+        table += [SingularPoint(a, -1, lam) for a, lam in self.poles]
+        order = self.infinity_pole_order()
+        if order > 0:
+            table.append(SingularPoint(INFINITY, -order, self.residue_at_infinity()))
+        elif order < 0:
+            table.append(SingularPoint(INFINITY, -order))
+        return tuple(sorted(table, key=lambda p: _point_key(p.location)))
+
+    def singular_point_at(self, point: Point) -> Optional[SingularPoint]:
+        """The table entry at ``point`` (to 1e-9 relative), None elsewhere."""
+        for p in self.singular_points:
+            if _points_close(p.location, point, _LOCATION_TOL):
+                return p
+        return None
+
     def divisor(self) -> Divisor:
-        return one_form_divisor(self.eta)
+        return Divisor.from_pairs((p.location, p.weight) for p in self.singular_points)
 
     def negated(self) -> "MeromorphicOneForm":
         return build_third_kind(
@@ -156,7 +178,7 @@ def build_third_kind(
     pole_list = [(complex(a), complex(lam)) for a, lam in poles]
     for i, (a, _) in enumerate(pole_list):
         for b, _ in pole_list[i + 1:]:
-            if abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b)):
+            if _points_close(a, b, _LOCATION_TOL):
                 raise DuplicatePole(f"poles at {a!r} and {b!r} coincide")
     for a, lam in pole_list:
         if lam == 0:
@@ -188,7 +210,7 @@ def build_third_kind(
             coeffs.pop()
         num = ComplexPolynomial(coeffs)
     # poles are distinct with nonzero residues, so num and den share no root
-    eta = RationalFunction(num, den, reduce=False)
+    eta = RationalFunction(num, den)
 
     form = MeromorphicOneForm(tuple(pole_list), h, eta)
     for k in range(5):
@@ -251,10 +273,17 @@ def check_hypotheses(form: MeromorphicOneForm) -> ExactnessReport:
     )
 
 
+def require_hypotheses(form: MeromorphicOneForm) -> None:
+    """Raise :class:`HypothesesFailed` unless the form is third-kind with
+    real nonzero residues."""
+    report = check_hypotheses(form)
+    if not report.ok:
+        raise HypothesesFailed("; ".join(report.diagnostics) or "hypotheses failed")
+
+
 def potential_f(form: MeromorphicOneForm, z: complex) -> float:
     """The real potential at ``z``; requires the hypotheses to hold."""
-    if not form.residues_real:
-        raise HypothesesFailed("potential needs real residues")
+    require_hypotheses(form)
     return form.potential(z)
 
 

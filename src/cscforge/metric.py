@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import INFINITY, Point, _clustered_roots, is_infinity
+from .algebra import Point, is_infinity
 from .errors import DegenerateHyperbolicPoint, GridTouchesSingularity
 from .forms import MeromorphicOneForm
 from .phifield import PhiField, solve_phi_closed
+from .singularities import TWO_PI, predicted_divisor, singular_point_info
 
 __all__ = [
+    "DensityField",
     "GridSpec",
     "MetricField",
     "CurvatureReport",
@@ -68,6 +70,29 @@ class GridSpec:
         )
 
 
+class DensityField(Protocol):
+    """What the verification routines need of a metric: its curvature sign,
+    its log density in the z or w = 1/z chart, and its singular points with
+    their predicted angles.  :class:`MetricField` and the closed two-cone
+    families implement it."""
+
+    K: int
+
+    def log_density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray: ...
+
+    def exclusion_points(self) -> Tuple[complex, ...]: ...
+
+    def admissible_mask(self, pts: np.ndarray, exclusion_radius: float = 0.05,
+                        phi_gap: float = 0.05) -> np.ndarray: ...
+
+    def area_singular_exponents(self) -> List[Tuple[Point, float]]: ...
+
+    def predicted_angle_at(self, point: Point) -> Optional[float]: ...
+
+    @property
+    def divisor_degree(self) -> float: ...
+
+
 @dataclass(frozen=True, eq=False)
 class MetricField:
     """Density evaluator of the constant-curvature metric for one K."""
@@ -78,9 +103,6 @@ class MetricField:
     def __post_init__(self):
         if self.K not in (-1, 0, 1):
             raise ValueError("curvature sign must be one of -1, 0, 1")
-        eta = self.phi.form.eta
-        zeros = tuple(z for z, _ in _clustered_roots(eta.num.to_float()))
-        object.__setattr__(self, "_zeros", zeros)
 
     @property
     def form(self) -> MeromorphicOneForm:
@@ -88,7 +110,8 @@ class MetricField:
 
     @property
     def zeros(self) -> Tuple[complex, ...]:
-        return self._zeros
+        return tuple(p.location for p in self.form.singular_points
+                     if p.weight > 0 and not is_infinity(p.location))
 
     # -- evaluation --------------------------------------------------------
 
@@ -146,7 +169,7 @@ class MetricField:
 
     def exclusion_points(self) -> Tuple[complex, ...]:
         """All finite zeros and poles of the form."""
-        return self._zeros + tuple(a for a, _ in self.form.poles)
+        return self.zeros + tuple(a for a, _ in self.form.poles)
 
     def admissible_mask(
         self,
@@ -154,41 +177,39 @@ class MetricField:
         exclusion_radius: float = 0.05,
         phi_gap: float = 0.05,
     ) -> np.ndarray:
+        """Points farther than ``exclusion_radius`` from every zero and pole
+        and, for K = -1, at least ``phi_gap`` from the locus where the field
+        value is 2.  A radius or gap of 0 switches its test off."""
         pts = np.asarray(pts, dtype=complex)
         mask = np.ones(pts.shape, dtype=bool)
-        for p in self.exclusion_points():
-            mask &= np.abs(pts - p) > exclusion_radius
+        if exclusion_radius > 0:
+            for p in self.exclusion_points():
+                mask &= np.abs(pts - p) > exclusion_radius
         if self.K == -1 and phi_gap > 0:
             mask &= np.abs(self.phi.value_many(pts) - 2.0) >= phi_gap
         return mask
 
+    def predicted_angle_at(self, point: Point) -> Optional[float]:
+        """Predicted angle at a point: ``2 pi`` at regular points, None
+        where no angle is asserted."""
+        entry = self.form.singular_point_at(point)
+        if entry is None:
+            return TWO_PI
+        return singular_point_info(entry, self.K).predicted_angle
+
+    @property
+    def divisor_degree(self) -> float:
+        return float(predicted_divisor(self.form, self.K).degree)
+
     def area_singular_exponents(self) -> List[Tuple[Point, float]]:
         """Genuinely conical points with the local exponent a (density like
-        r^(2(a-1))): zeros give a = order + 1, poles a = |residue|; points
-        with |residue| = 1 are smooth and omitted."""
+        r^(2(a-1))), the predicted angle over ``2 pi``; smooth points are
+        omitted."""
         out: List[Tuple[Point, float]] = []
-        res_by_loc = {a: lam for a, lam in self.form.poles}
-        for p, w in self.form.divisor():
-            if is_infinity(p):
-                if w > 0:
-                    out.append((INFINITY, w + 1.0))
-                elif w == -1:
-                    lam = abs(self.form.residue_at_infinity().real)
-                    if abs(lam - 1.0) > 1e-9:
-                        out.append((INFINITY, lam))
-                continue
-            if w > 0:
-                out.append((p, w + 1.0))
-            else:
-                lam = None
-                for a, l in res_by_loc.items():
-                    if abs(a - p) <= 1e-9 * max(1.0, abs(a)):
-                        lam = abs(l.real)
-                        break
-                if lam is None:
-                    lam = 1.0
-                if abs(lam - 1.0) > 1e-9:
-                    out.append((p, lam))
+        for entry in self.form.singular_points:
+            info = singular_point_info(entry, self.K)
+            if info.conical_expected:
+                out.append((entry.location, info.predicted_angle / TWO_PI))
         return out
 
 
@@ -215,7 +236,7 @@ class CurvatureReport:
 
 
 def gauss_curvature_fd(
-    field,
+    field: DensityField,
     grid,
     h: float = 1e-3,
     exclusion_radius: float = 0.05,
@@ -229,7 +250,7 @@ def gauss_curvature_fd(
     admissible points only.  Raises :class:`GridTouchesSingularity` when no
     admissible point remains.
     """
-    if hasattr(grid, "points"):
+    if isinstance(grid, GridSpec):
         pts = grid.points()
         desc = grid.describe()
     else:
@@ -302,7 +323,7 @@ def negation_invariance_check(
 
 
 def suggest_grid(
-    field,
+    field: DensityField,
     half_width: float = 0.1,
     n: int = 21,
     margin: float = 0.3,
@@ -327,10 +348,8 @@ def suggest_grid(
             continue
         probe = c + (np.linspace(-half_width, half_width, 5)[:, None]
                      + 1j * np.linspace(-half_width, half_width, 5)[None, :]).ravel()
-        if hasattr(field, "phi") and getattr(field, "K", 1) == -1:
-            gap = float(np.min(np.abs(field.phi.value_many(probe) - 2.0)))
-            if gap < phi_margin:
-                continue
+        if field.K == -1 and not np.all(field.admissible_mask(probe, 0.0, phi_margin)):
+            continue
         logrho = field.log_density_many(probe)
         level = float(np.median(np.abs(logrho)))
         score = min(dist, 1.0) - 0.05 * level
@@ -342,13 +361,13 @@ def suggest_grid(
     return GridSpec(center=best, half_width=half_width, n=n)
 
 
-def write_density_grid(field, grid: GridSpec, h: float, stream) -> float:
+def write_density_grid(field: MetricField, grid: GridSpec, h: float, stream) -> float:
     """Write ``x,y,rho,phi,K_est`` rows (17 significant digits) and return the
     max curvature residual over the admissible points."""
     pts = grid.points()
     logrho = field.log_density_many(pts)
     rho = np.exp(logrho)
-    phi = field.phi_many(pts) if hasattr(field, "phi_many") else np.full(pts.shape, np.nan)
+    phi = field.phi_many(pts)
     lap = -4.0 * logrho
     for off in (h, -h, 1j * h, -1j * h):
         lap += field.log_density_many(pts + off)

@@ -19,15 +19,14 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import Point, is_infinity
+from .algebra import Point
 from .errors import (
     BadInitialValue,
     BasePointIsPole,
-    HypothesesFailed,
     PathTooCloseToPole,
     StepUnderflow,
 )
-from .forms import MeromorphicOneForm, check_hypotheses
+from .forms import MeromorphicOneForm, require_hypotheses
 
 __all__ = [
     "PhiField",
@@ -107,9 +106,7 @@ def solve_phi_closed(
     real nonzero residues, :class:`BasePointIsPole` when the base point sits
     on a pole, and :class:`BadInitialValue` when ``phi0`` is outside (0, 4).
     """
-    report = check_hypotheses(form)
-    if not report.ok:
-        raise HypothesesFailed("; ".join(report.diagnostics) or "hypotheses failed")
+    require_hypotheses(form)
     if p0 is None:
         p0 = _default_base_point(form)
     p0 = complex(p0)
@@ -128,9 +125,7 @@ def phi_field_from_a0(
     p0: complex | None = None,
 ) -> PhiField:
     """Build a field directly from its integration constant."""
-    report = check_hypotheses(form)
-    if not report.ok:
-        raise HypothesesFailed("; ".join(report.diagnostics) or "hypotheses failed")
+    require_hypotheses(form)
     if p0 is None:
         p0 = _default_base_point(form)
     p0 = complex(p0)
@@ -142,28 +137,17 @@ def phi_field_from_a0(
     return PhiField(form, p0, phi0, float(a0))
 
 
-def phi_limit_at_pole(field: PhiField, pole: Union[int, complex, Point]) -> float:
+def phi_limit_at_pole(field: PhiField, pole: Union[int, Point]) -> float:
     """Continuous extension value of the field at a pole: 0 for positive
-    residue, 4 for negative.  ``pole`` may be an index into the form's pole
-    list, a pole location, or :data:`INFINITY`."""
+    residue, 4 for negative.  ``pole`` may be a pole location,
+    :data:`INFINITY`, or an index into the form's pole list."""
     form = field.form
-    if is_infinity(pole):
-        if form.infinity_pole_order() != 1:
-            raise ValueError("INFINITY is not a simple pole of this form")
-        lam = form.residue_at_infinity().real
-    elif isinstance(pole, int) and not isinstance(pole, bool):
-        lam = form.poles[pole][1].real
-    else:
-        pole = complex(pole)
-        for a, l in form.poles:
-            if abs(a - pole) <= 1e-9 * max(1.0, abs(a), abs(pole)):
-                lam = l.real
-                break
-        else:
-            raise ValueError(f"{pole!r} is not a pole of the form")
-    if lam == 0:
-        raise ValueError("pole with zero residue")
-    return 0.0 if lam > 0 else 4.0
+    if isinstance(pole, int) and not isinstance(pole, bool):
+        pole = form.poles[pole][0]
+    entry = form.singular_point_at(pole)
+    if entry is None or entry.weight != -1:
+        raise ValueError(f"{pole!r} is not a simple pole of the form")
+    return 0.0 if entry.residue.real > 0 else 4.0
 
 
 def _segment_point_distance(z0: complex, z1: complex, a: complex) -> float:
@@ -190,8 +174,10 @@ def integrate_phi_along_path(
     in that path parameter.  The result is cross-checked against a half-step
     run and rejected (:class:`StepUnderflow`) if the two disagree by more
     than ``agreement_tol``.  Serves as the independent oracle for the closed
-    form and must not use it.
+    form and must not use it.  Raises :class:`HypothesesFailed` on forms
+    the closed form rejects too.
     """
+    require_hypotheses(form)
     phi_start = float(phi_start)
     if not (0.0 < phi_start < 4.0):
         raise BadInitialValue(f"start value {phi_start} outside (0, 4)")
@@ -212,8 +198,6 @@ def integrate_phi_along_path(
     total = sum(L for _, _, L in segments)
 
     pole_data = tuple(form.poles)
-    dh = form.exact_part.derivative()
-    dh_coeffs = tuple(complex(c) for c in dh.coeffs)
 
     def run(refine: int) -> float:
         phi = phi_start
@@ -226,11 +210,6 @@ def integrate_phi_along_path(
                 acc = 0j
                 for a, lam in pole_data:
                     acc += lam / (zv - a)
-                if dh_coeffs:
-                    p = dh_coeffs[-1]
-                    for c in reversed(dh_coeffs[:-1]):
-                        p = p * zv + c
-                    acc += p
                 return 0.5 * (acc * dz).real
 
             w_right = drive(z0)

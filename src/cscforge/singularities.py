@@ -16,25 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Point, is_infinity
-from .errors import (
-    AnnulusContainsSingularity,
-    HypothesesFailed,
-    NonConicalSingularityPresent,
-)
-from .forms import MeromorphicOneForm, check_hypotheses
+from .algebra import Divisor, Point, is_infinity
+from .errors import AnnulusContainsSingularity, NonConicalSingularityPresent
+from .forms import MeromorphicOneForm, SingularPoint, require_hypotheses
+
+if TYPE_CHECKING:
+    from .metric import DensityField
 
 __all__ = [
     "SingularPointInfo",
     "ConeAngleReport",
     "GaussBonnetReport",
+    "singular_point_info",
     "classify_singular_points",
     "predicted_divisor",
-    "predicted_angle_at",
     "estimate_cone_angle",
     "gauss_bonnet_check",
     "total_metric_area",
@@ -87,10 +86,8 @@ class GaussBonnetReport:
         return TWO_PI * (self.chi + self.deg_d) / self.K
 
 
-def classify_singular_points(
-    form: MeromorphicOneForm, K: int
-) -> List[SingularPointInfo]:
-    """Apply the angle rules to every zero and pole of the form.
+def singular_point_info(point: SingularPoint, K: int) -> SingularPointInfo:
+    """Apply the angle rules to one zero or simple pole of a form.
 
     Zeros of order m get angle ``2 pi (m + 1)``.  Simple poles get angle
     ``2 pi |residue|`` whatever the sign of the residue, except that
@@ -98,77 +95,59 @@ def classify_singular_points(
     pole (unit residue included) is a singular point that is not conical:
     no angle, excluded from the divisor.
     """
-    report = check_hypotheses(form)
-    if not report.ok:
-        raise HypothesesFailed("; ".join(report.diagnostics) or "hypotheses failed")
-    infos: List[SingularPointInfo] = []
-    for p, w in form.divisor():
-        if w > 0:
-            order = int(round(w))
-            infos.append(
-                SingularPointInfo(
-                    location=p,
-                    kind="zero",
-                    order=order,
-                    residue=None,
-                    predicted_angle=TWO_PI * (order + 1),
-                    divisor_weight=float(order),
-                    smooth=False,
-                    conical_expected=True,
-                    note="degenerate when the K=-1 field value is 2 here"
-                    if K == -1 else "",
-                )
-            )
-            continue
-        # simple pole (w == -1 after the hypotheses gate)
-        if is_infinity(p):
-            lam = form.residue_at_infinity().real
-        else:
-            lam = None
-            for a, l in form.poles:
-                if abs(a - p) <= 1e-9 * max(1.0, abs(a)):
-                    lam = l.real
-                    break
-            if lam is None:
-                raise HypothesesFailed(f"pole at {p!r} missing from pole data")
-        mag = abs(lam)
-        if K == 0 and lam < 0:
-            # the flat-case density diverges here whatever |residue| is,
-            # so even residue -1 is singular (only +1 is a smooth point)
-            infos.append(
-                SingularPointInfo(
-                    location=p, kind="pole", order=None, residue=lam,
-                    predicted_angle=None, divisor_weight=0.0,
-                    smooth=False, conical_expected=False,
-                    note="negative residue with K=0: singular but not conical",
-                )
-            )
-        elif abs(mag - 1.0) <= _SMOOTH_TOL:
-            infos.append(
-                SingularPointInfo(
-                    location=p, kind="pole", order=None, residue=lam,
-                    predicted_angle=TWO_PI, divisor_weight=0.0,
-                    smooth=True, conical_expected=False,
-                    note="unit residue: smooth point of the metric",
-                )
-            )
-        else:
-            infos.append(
-                SingularPointInfo(
-                    location=p, kind="pole", order=None, residue=lam,
-                    predicted_angle=TWO_PI * mag, divisor_weight=mag - 1.0,
-                    smooth=False, conical_expected=True,
-                )
-            )
-    return infos
+    p = point.location
+    if point.weight > 0:
+        return SingularPointInfo(
+            location=p,
+            kind="zero",
+            order=point.weight,
+            residue=None,
+            predicted_angle=TWO_PI * (point.weight + 1),
+            divisor_weight=float(point.weight),
+            smooth=False,
+            conical_expected=True,
+            note="degenerate when the K=-1 field value is 2 here"
+            if K == -1 else "",
+        )
+    lam = point.residue.real
+    mag = abs(lam)
+    if K == 0 and lam < 0:
+        # the flat-case density diverges here whatever |residue| is,
+        # so even residue -1 is singular (only +1 is a smooth point)
+        return SingularPointInfo(
+            location=p, kind="pole", order=None, residue=lam,
+            predicted_angle=None, divisor_weight=0.0,
+            smooth=False, conical_expected=False,
+            note="negative residue with K=0: singular but not conical",
+        )
+    if abs(mag - 1.0) <= _SMOOTH_TOL:
+        return SingularPointInfo(
+            location=p, kind="pole", order=None, residue=lam,
+            predicted_angle=TWO_PI, divisor_weight=0.0,
+            smooth=True, conical_expected=False,
+            note="unit residue: smooth point of the metric",
+        )
+    return SingularPointInfo(
+        location=p, kind="pole", order=None, residue=lam,
+        predicted_angle=TWO_PI * mag, divisor_weight=mag - 1.0,
+        smooth=False, conical_expected=True,
+    )
 
 
-def predicted_divisor(form: MeromorphicOneForm, K: int):
+def classify_singular_points(
+    form: MeromorphicOneForm, K: int
+) -> List[SingularPointInfo]:
+    """The angle rules of :func:`singular_point_info` applied to every zero
+    and pole of a form that satisfies the hypotheses (so every pole is
+    simple)."""
+    require_hypotheses(form)
+    return [singular_point_info(p, K) for p in form.singular_points]
+
+
+def predicted_divisor(form: MeromorphicOneForm, K: int) -> Divisor:
     """Divisor represented by the metric: weight ``order`` at zeros and
     ``|residue| - 1`` at poles, smooth points omitted, K = 0 negative-residue
     poles excluded (they are not conical)."""
-    from .algebra import Divisor
-
     pairs = []
     for info in classify_singular_points(form, K):
         if info.divisor_weight != 0.0 and info.conical_expected:
@@ -176,22 +155,7 @@ def predicted_divisor(form: MeromorphicOneForm, K: int):
     return Divisor.from_pairs(pairs)
 
 
-def predicted_angle_at(field, point: Point) -> Optional[float]:
-    """Predicted angle at a point of a metric field (pipeline or closed
-    family); ``2 pi`` at regular points, None where no angle is asserted."""
-    if hasattr(field, "predicted_angle_at"):
-        return field.predicted_angle_at(point)
-    infos = classify_singular_points(field.form, field.K)
-    for info in infos:
-        if is_infinity(point) and is_infinity(info.location):
-            return info.predicted_angle
-        if not is_infinity(point) and not is_infinity(info.location):
-            if abs(complex(point) - complex(info.location)) <= 1e-6:
-                return info.predicted_angle
-    return TWO_PI
-
-
-def _chart_exclusions(field, point: Point) -> Tuple[complex, List[complex]]:
+def _chart_exclusions(field: DensityField, point: Point) -> Tuple[complex, List[complex]]:
     """Map the field's exclusion points into the fitting chart; the chart
     center represents ``point`` itself."""
     exclusions = list(field.exclusion_points())
@@ -205,7 +169,7 @@ def _chart_exclusions(field, point: Point) -> Tuple[complex, List[complex]]:
 
 
 def estimate_cone_angle(
-    field,
+    field: DensityField,
     point: Point,
     radii: Sequence[float] | None = None,
     n_theta: int = 64,
@@ -237,12 +201,11 @@ def estimate_cone_angle(
                 f"singular point {q!r} within the fitting annulus of {point!r}"
             )
     note = ""
-    if getattr(field, "K", 1) == -1 and not is_infinity(point) and hasattr(field, "phi"):
-        # only zeros can sit on the degeneracy locus; the field saturates to
-        # 0 or 4 at poles, where its value is not evaluable anyway
-        if field.phi.form.min_pole_distance(complex(point)) > 1e-9:
-            if abs(field.phi.value(complex(point)) - 2.0) < 1e-6:
-                note = "degenerate: K=-1 field value is 2 at this point"
+    # only zeros can sit on the degeneracy locus: the field saturates to 0
+    # or 4 at poles.  Radius 0 keeps the point itself in the mask.
+    if field.K == -1 and not is_infinity(point):
+        if not field.admissible_mask(np.array([center]), 0.0, 1e-6)[0]:
+            note = "degenerate: K=-1 field value is 2 at this point"
 
     theta = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
     u = np.empty(radii.size)
@@ -259,7 +222,7 @@ def estimate_cone_angle(
     ss_tot = float(np.sum((u - ubar) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-24 else 0.0
     fitted = TWO_PI * (slope + 1.0)
-    predicted = predicted_angle_at(field, point)
+    predicted = field.predicted_angle_at(point)
     conical = (
         r2 >= 0.999
         and fitted > 0.0
@@ -309,7 +272,7 @@ def _split_radius(finite_sing: Sequence[complex]) -> float:
     return best
 
 
-def _cap_area(field, chart: str, center: complex, delta: float, a: float,
+def _cap_area(field: DensityField, chart: str, center: complex, delta: float, a: float,
               n_theta: int, n_gl: int) -> float:
     """Area of the bump-weighted cap around one conical point, integrated in
     log-radial coordinates r = delta * exp(-v)."""
@@ -326,7 +289,7 @@ def _cap_area(field, chart: str, center: complex, delta: float, a: float,
     return float(np.sum(wts * integrand))
 
 
-def _chart_remainder(field, chart: str, chart_radius: float,
+def _chart_remainder(field: DensityField, chart: str, chart_radius: float,
                      caps: List[Tuple[complex, float]],
                      n_r: int, n_theta: int) -> float:
     """Midpoint polar quadrature of the density over the chart disk with the
@@ -348,7 +311,7 @@ def _chart_remainder(field, chart: str, chart_radius: float,
 
 
 def total_metric_area(
-    field,
+    field: DensityField,
     n_r: int = 700,
     n_theta: int = 1024,
     cap_theta: int = 192,
@@ -386,14 +349,16 @@ def total_metric_area(
                     room = min(room, 0.5 * abs(c - c2))
             delta = min(0.3, 0.9 * room)
             if delta <= 1e-3:
-                raise ValueError("conical points too crowded for the quadrature")
+                raise AnnulusContainsSingularity(
+                    "conical points too crowded for the quadrature"
+                )
             caps.append((c, delta))
             area += _cap_area(field, chart, c, delta, a, cap_theta, cap_gl)
         area += _chart_remainder(field, chart, chart_radius, caps, n_r, n_theta)
     return area
 
 
-def gauss_bonnet_check(field) -> GaussBonnetReport:
+def gauss_bonnet_check(field: DensityField) -> GaussBonnetReport:
     """Compare K times the total area with ``2 pi (chi + deg D)``.
 
     Only K = 1 qualifies: with K = 0 the residue theorem forces a
@@ -405,10 +370,7 @@ def gauss_bonnet_check(field) -> GaussBonnetReport:
         raise NonConicalSingularityPresent(
             "total-curvature accounting requires K = 1 on the sphere"
         )
-    if hasattr(field, "form"):
-        deg_d = float(predicted_divisor(field.form, K).degree)
-    else:
-        deg_d = float(field.divisor_degree)
+    deg_d = float(field.divisor_degree)
     area = total_metric_area(field)
     expected = TWO_PI * (2.0 + deg_d)
     return GaussBonnetReport(

@@ -111,7 +111,7 @@ class TestResidues:
             residue_at_simple_pole(r, 1.0 + 0j)
 
     def test_double_pole_rejected(self):
-        r = RationalFunction([1.0], [0.0, 0.0, 1.0], reduce=False)  # 1/z^2
+        r = RationalFunction([1.0], [0.0, 0.0, 1.0])  # 1/z^2
         with pytest.raises(NotASimplePole):
             residue_at_simple_pole(r, 0j)
 
@@ -141,23 +141,6 @@ class TestResidueAtInfinity:
             ComplexPolynomial([ExactComplex(0), ExactComplex(1)]),
         )
         assert residue_at_infinity(r) == ExactComplex(-3)
-
-
-class TestReduction:
-    def test_exact_gcd_cancel(self):
-        num = ComplexPolynomial([-1, 0, 1])  # z^2 - 1
-        den = ComplexPolynomial([-1, 1])     # z - 1
-        r = RationalFunction(num, den)
-        assert r.num == ComplexPolynomial([1, 1])
-        assert r.den == ComplexPolynomial([1])
-
-    def test_float_cluster_cancel(self):
-        num = ComplexPolynomial.from_roots([1.0 + 0j, 2.0 + 0j])
-        den = ComplexPolynomial.from_roots([1.0 + 0j, 3.0 + 0j])
-        r = RationalFunction(num, den)
-        assert r.num.degree == 1
-        assert r.den.degree == 1
-        assert abs(r(10.0) - (10.0 - 2.0) / (10.0 - 3.0)) < 1e-12
 
 
 class TestDivisor:

@@ -1,0 +1,98 @@
+"""The per-form table of zeros and poles, and the code that reads it."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cscforge import (
+    ComplexPolynomial,
+    HypothesesFailed,
+    build_third_kind,
+    classify_singular_points,
+    cli,
+    integrate_phi_along_path,
+    is_infinity,
+    potential_f,
+    solve_phi_closed,
+)
+
+# two conical poles 1e-3 apart, closer than the root clustering radius
+CLOSE_POLES = ((0.5 + 0j, 2.0), (0.5 + 0.001j, 1.5), (-1.0 + 0.3j, -0.7))
+CLOSE_FORM = json.dumps(
+    {"poles": [{"a": [a.real, a.imag], "lambda": [lam, 0.0]} for a, lam in CLOSE_POLES]}
+)
+
+
+def random_form(seed, n_poles, close_gap=None, exact_part=None):
+    """Poles spread over |z| < 2, at least 0.05 apart; with ``close_gap`` the
+    last pole sits that far from the first."""
+    rng = np.random.default_rng(seed)
+    locs = []
+    while len(locs) < n_poles - (close_gap is not None):
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if abs(z) < 2 and all(abs(z - w) >= 0.05 for w in locs):
+            locs.append(z)
+    if close_gap is not None:
+        locs.append(locs[0] + close_gap * np.exp(2j * math.pi * rng.uniform()))
+    residues = rng.choice((-1.0, 1.0), n_poles) * rng.uniform(0.3, 3.0, n_poles)
+    return build_third_kind(list(zip(locs, residues)), exact_part)
+
+
+class TestClosePoles:
+    def test_inspect_reports_each_pole(self, capsys):
+        assert cli.main(["inspect", "--form", CLOSE_FORM]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        weights = {tuple(e["point"]): e["weight"] for e in doc["divisor"]
+                   if e["point"] != "inf"}
+        for a, _ in CLOSE_POLES:
+            assert weights[(a.real, a.imag)] == -1.0
+
+    def test_angles_from_given_residues(self):
+        form = build_third_kind(CLOSE_POLES)
+        poles = {i.location: i for i in classify_singular_points(form, 1)
+                 if i.kind == "pole" and not is_infinity(i.location)}
+        assert set(poles) == {a for a, _ in CLOSE_POLES}
+        for a, lam in CLOSE_POLES:
+            assert poles[a].residue == lam
+            assert poles[a].predicted_angle == pytest.approx(2 * math.pi * abs(lam))
+            assert poles[a].conical_expected
+
+    @pytest.mark.parametrize("command", ["angles", "gauss-bonnet"])
+    def test_crowded_cones_are_geometry_errors(self, capsys, command):
+        assert cli.main([command, "--form", CLOSE_FORM, "--K", "1"]) == 3
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_poles=st.integers(2, 16),
+    close_gap=st.one_of(st.none(), st.floats(1e-3, 1e-1)),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_table_keeps_given_poles(seed, n_poles, close_gap):
+    form = random_form(seed, n_poles, close_gap)
+    div = form.divisor()
+    finite_poles = [p for p, w in div if w < 0 and not is_infinity(p)]
+    assert len(finite_poles) == n_poles
+    assert set(finite_poles) == {a for a, _ in form.poles}
+    assert div.degree == -2
+    assert form.residue_at_infinity() == -sum(lam for _, lam in form.poles)
+
+
+@pytest.mark.parametrize("n_poles", [2, 5, 9])
+@pytest.mark.parametrize("h_degree", [1, 2])
+def test_exact_part_is_inspect_only(n_poles, h_degree):
+    h = ComplexPolynomial([0.0] * h_degree + [0.7 - 0.2j])
+    form = random_form(n_poles + h_degree, n_poles, exact_part=h)
+    zeros = [w for p, w in form.divisor() if w > 0]
+    assert sum(zeros) == n_poles + h_degree - 1
+    start = 2.5 + 2.5j
+    with pytest.raises(HypothesesFailed):
+        solve_phi_closed(form, start, 2.0)
+    with pytest.raises(HypothesesFailed):
+        potential_f(form, start)
+    with pytest.raises(HypothesesFailed):
+        integrate_phi_along_path(form, [start, start + 0.5], 2.0)
