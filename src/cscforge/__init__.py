@@ -53,6 +53,7 @@ from .errors import (
     PathTooCloseToPole,
     PatternMismatch,
     ResidueMismatch,
+    RootFindingFailed,
     StepUnderflow,
     ZeroMu,
     ZeroResidue,
@@ -86,6 +87,7 @@ from .phifield import (
     solve_phi_closed,
 )
 from .singularities import (
+    AreaEstimate,
     ConeAngleReport,
     GaussBonnetReport,
     SingularPointInfo,

@@ -22,7 +22,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NotASimplePole
+from .errors import NotASimplePole, RootFindingFailed
 
 __all__ = [
     "INFINITY",
@@ -379,7 +379,9 @@ class ComplexPolynomial:
         if self.degree <= 0:
             return np.empty(0, dtype=complex)
         if self.degree > 16:
-            raise ValueError("root finding is supported up to degree 16 only")
+            raise RootFindingFailed(
+                f"root finding is supported up to degree 16 only (degree {self.degree})"
+            )
         return np.roots(self.to_complex_array()[::-1])
 
 
@@ -439,14 +441,14 @@ def _clustered_roots(poly: ComplexPolynomial, gather_radius: float = 2e-3
         if math.isfinite(sep):
             radius = min(radius, 0.45 * sep)
         if radius <= spread:
-            raise ValueError("root clusters could not be resolved")
+            raise RootFindingFailed("root clusters could not be resolved")
         count, moment = _contour_count(poly, deriv, center, radius)
         m = int(round(count))
         if m < 1 or abs(count - m) > 0.05:
-            raise ValueError("contour multiplicity count did not converge")
+            raise RootFindingFailed("contour multiplicity count did not converge")
         out.append((complex(moment / m), m))
     if sum(m for _, m in out) != poly.degree:
-        raise ValueError("lost roots while clustering")
+        raise RootFindingFailed("lost roots while clustering")
     return out
 
 

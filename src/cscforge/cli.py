@@ -348,6 +348,8 @@ def cmd_gauss_bonnet(args) -> int:
         "expected_area": rep.expected_area,
         "K": rep.K,
         "residual": rep.residual,
+        "error_estimate": rep.error_estimate,
+        "nodes": rep.nodes,
     }
     _emit(args, _dump(doc))
     return EXIT_OK
@@ -421,6 +423,8 @@ def cmd_verify(args) -> int:
             "total_area": gb.total_area,
             "expected_area": gb.expected_area,
             "residual": gb.residual,
+            "error_estimate": gb.error_estimate,
+            "nodes": gb.nodes,
             "tolerance": 0.01 * gb.expected_area,
             "pass": bool(gb.residual < 0.01 * gb.expected_area),
         }

@@ -61,6 +61,11 @@ class InvalidCaseData(CscForgeError):
     """Standard-form case parameters violate their constraints."""
 
 
+class RootFindingFailed(CscForgeError):
+    """Root finding could not resolve a polynomial: its degree is above the
+    supported cap, or its root clusters could not be confirmed."""
+
+
 class NotMonomialIdentity(CscForgeError):
     """The Wronskian of the two polynomials is not a single monomial."""
 

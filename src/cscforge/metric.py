@@ -235,6 +235,17 @@ class CurvatureReport:
         return float(np.max(np.abs(self.residuals)))
 
 
+def _laplacian_log_density(field: DensityField, pts: np.ndarray, logrho: np.ndarray,
+                           h: float) -> np.ndarray:
+    """Five-point Laplacian of log(rho) with spacing h; ``logrho`` is
+    log(rho) at ``pts``."""
+    lap = -4.0 * logrho
+    for off in (h, -h, 1j * h, -1j * h):
+        lap += field.log_density_many(pts + off)
+    lap /= h * h
+    return lap
+
+
 def gauss_curvature_fd(
     field: DensityField,
     grid,
@@ -261,12 +272,8 @@ def gauss_curvature_fd(
     if admissible.size == 0:
         raise GridTouchesSingularity("no admissible grid points remain")
     center = field.log_density_many(admissible)
-    lap = -4.0 * center
-    for off in (h, -h, 1j * h, -1j * h):
-        lap += field.log_density_many(admissible + off)
-    lap /= h * h
-    rho = np.exp(center)
-    k_est = -lap / (2.0 * rho)
+    lap = _laplacian_log_density(field, admissible, center, h)
+    k_est = -lap / (2.0 * np.exp(center))
     return CurvatureReport(
         description=desc,
         h=h,
@@ -340,19 +347,30 @@ def suggest_grid(
         for k in range(12):
             candidates.append(p + 0.55 * np.exp(2j * math.pi * k / 12))
     reach = half_width * math.sqrt(2.0)
-    best = None
-    best_score = -math.inf
+    kept: List[complex] = []
+    dists: List[float] = []
     for c in candidates:
         dist = min((abs(c - p) for p in exclusions), default=math.inf) - reach
-        if dist < margin:
+        if dist >= margin:
+            kept.append(c)
+            dists.append(dist)
+    # the 5x5 probe patch of every candidate, one row each, evaluated at once
+    side = np.linspace(-half_width, half_width, 5)
+    probes = np.array(kept, dtype=complex)[:, None] + (
+        side[:, None] + 1j * side[None, :]).ravel()[None, :]
+    ok = np.ones(len(kept), dtype=bool)
+    if field.K == -1:
+        ok = field.admissible_mask(probes.ravel(), 0.0, phi_margin).reshape(
+            probes.shape).all(axis=1)
+    levels = np.full(len(kept), math.nan)
+    logrho = field.log_density_many(probes[ok].ravel()).reshape(-1, probes.shape[1])
+    levels[ok] = np.median(np.abs(logrho), axis=1)
+    best = None
+    best_score = -math.inf
+    for c, dist, good, level in zip(kept, dists, ok, levels):
+        if not good:
             continue
-        probe = c + (np.linspace(-half_width, half_width, 5)[:, None]
-                     + 1j * np.linspace(-half_width, half_width, 5)[None, :]).ravel()
-        if field.K == -1 and not np.all(field.admissible_mask(probe, 0.0, phi_margin)):
-            continue
-        logrho = field.log_density_many(probe)
-        level = float(np.median(np.abs(logrho)))
-        score = min(dist, 1.0) - 0.05 * level
+        score = min(dist, 1.0) - 0.05 * float(level)
         if score > best_score + 1e-12:
             best_score = score
             best = c
@@ -368,10 +386,7 @@ def write_density_grid(field: MetricField, grid: GridSpec, h: float, stream) -> 
     logrho = field.log_density_many(pts)
     rho = np.exp(logrho)
     phi = field.phi_many(pts)
-    lap = -4.0 * logrho
-    for off in (h, -h, 1j * h, -1j * h):
-        lap += field.log_density_many(pts + off)
-    lap /= h * h
+    lap = _laplacian_log_density(field, pts, logrho, h)
     k_est = -lap / (2.0 * rho)
     stream.write("x,y,rho,phi,K_est\n")
     for z, r, p, k in zip(pts, rho, phi, k_est):

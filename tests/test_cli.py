@@ -36,6 +36,15 @@ class TestInspect:
         assert code == 2
         assert json.loads(out)["is_third_kind"] is False
 
+    def test_root_finding_cap_is_not_a_parse_error(self, capsys):
+        # 24 poles: eta's numerator has degree 23, above the root-finding cap
+        angles = [2 * math.pi * k / 24 for k in range(24)]
+        poles = [{"a": [1.5 * math.cos(t), 1.5 * math.sin(t)], "lambda": [1.0 + t, 0.0]}
+                 for t in angles]
+        code, _, err = run(capsys, ["inspect", "--form", json.dumps({"poles": poles})])
+        assert code == 3
+        assert "degree 16" in err
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, ["inspect", "--form", "{not json"])
         assert code == 1
@@ -206,6 +215,21 @@ class TestVerify:
         assert code == 4
         doc = json.loads(out)
         assert doc["checks"]["curvature"]["pass"] is False
+
+    def test_scaled_density_fails_area(self, capsys, monkeypatch):
+        original = MetricField.log_density_many
+        monkeypatch.setattr(
+            MetricField, "log_density_many",
+            lambda self, pts, chart="z": original(self, pts, chart) + math.log(1.05),
+        )
+        code, out, _ = run(
+            capsys, ["verify", "--standard", "unit:alpha=2", "--K", "1"]
+        )
+        assert code == 4
+        gb = json.loads(out)["checks"]["gauss_bonnet"]
+        assert gb["pass"] is False
+        assert gb["error_estimate"] < gb["residual"]
+        assert gb["nodes"] > 0
 
     def test_smooth_sphere(self, capsys):
         code, out, _ = run(

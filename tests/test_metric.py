@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -183,3 +184,39 @@ class TestGridIO:
             g = suggest_grid(m)
             mask = m.admissible_mask(g.points(), 0.05, 0.05)
             assert np.all(mask)
+
+
+def suggest_grid_per_patch(field, half_width=0.1, n=21, margin=0.3, phi_margin=0.25):
+    """Reference: one density call per candidate patch."""
+    exclusions = field.exclusion_points()
+    candidates = []
+    for xr in np.arange(-2.0, 2.01, 0.25):
+        for yi in np.arange(-2.0, 2.01, 0.25):
+            candidates.append(complex(xr, yi))
+    for p in exclusions:
+        for k in range(12):
+            candidates.append(p + 0.55 * np.exp(2j * math.pi * k / 12))
+    reach = half_width * math.sqrt(2.0)
+    best = None
+    best_score = -math.inf
+    for c in candidates:
+        dist = min((abs(c - p) for p in exclusions), default=math.inf) - reach
+        if dist < margin:
+            continue
+        probe = c + (np.linspace(-half_width, half_width, 5)[:, None]
+                     + 1j * np.linspace(-half_width, half_width, 5)[None, :]).ravel()
+        if field.K == -1 and not np.all(field.admissible_mask(probe, 0.0, phi_margin)):
+            continue
+        level = float(np.median(np.abs(field.log_density_many(probe))))
+        score = min(dist, 1.0) - 0.05 * level
+        if score > best_score + 1e-12:
+            best_score = score
+            best = c
+    return GridSpec(center=best, half_width=half_width, n=n)
+
+
+@pytest.mark.parametrize("K", [1, 0, -1])
+def test_suggest_grid_matches_per_patch_loop(test_forms, K):
+    for form in test_forms:
+        m = MetricField(solve_phi_closed(form, None, 2.0), K=K)
+        assert suggest_grid(m) == suggest_grid_per_patch(m)

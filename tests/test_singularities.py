@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cscforge import (
     INFINITY,
@@ -10,6 +13,7 @@ from cscforge import (
     NonConicalSingularityPresent,
     build_third_kind,
     classify_singular_points,
+    cli,
     estimate_cone_angle,
     football_metric,
     gauss_bonnet_check,
@@ -18,6 +22,7 @@ from cscforge import (
     solve_phi_closed,
     total_metric_area,
 )
+from conftest import random_real_residue_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,5 +169,32 @@ class TestGaussBonnet:
 
     def test_family_area_helper(self):
         fm = football_metric(1.5)
-        area = total_metric_area(fm)
+        area = total_metric_area(fm).area
         assert abs(area - 6 * math.pi) < 0.01 * 6 * math.pi
+
+
+class TestAreaQuadrature:
+    def test_small_exponent_cap(self, capsys):
+        # a = 0.41 at both cones: one Gauss-Legendre panel across the bump's
+        # transition stalls near 5e-5 relative here
+        code = cli.main(["gauss-bonnet", "--standard",
+                         "simple:lambda=-0.41355958064846615", "--K", "1"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residual"] <= 1e-7 * doc["expected_area"]
+        assert doc["error_estimate"] >= doc["residual"]
+        assert doc["nodes"] > 0
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_poles=st.integers(4, 6))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_area_error_estimate_covers_error(seed, n_poles):
+    """Forms under the acceptance corpus rules, poles kept 0.3 from the
+    default base point 1: the area is within 1e-5 and its error estimate
+    bounds the measured error."""
+    form = random_real_residue_form(seed, n_poles)
+    assume(min(abs(a - 1.0) for a, _ in form.poles) >= 0.3)
+    rep = gauss_bonnet_check(MetricField(solve_phi_closed(form, None, 2.0), K=1))
+    assert rep.residual <= 1e-5 * rep.expected_area
+    if rep.residual > 1e-12 * rep.expected_area:
+        assert rep.error_estimate >= rep.residual
