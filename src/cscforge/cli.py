@@ -2,8 +2,8 @@
 
 Subcommands: inspect, phi, metric, angles, gauss-bonnet, classify, verify.
 Exit codes: 0 success, 1 parse error, 2 hypothesis failure, 3 geometry/grid
-error, 4 verification failure.  Output is data (CSV/JSON) and byte-stable
-for a fixed invocation.
+error or root-finding failure, 4 verification failure.  Output is data
+(CSV/JSON) and byte-stable for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     InvalidCaseData,
     PatternMismatch,
     ResidueMismatch,
+    RootFindingFailed,
     ZeroResidue,
 )
 from .forms import check_hypotheses, form_from_json
@@ -139,8 +140,7 @@ def _load_form(args, cfg):
     if (form_src is None) == (std_src is None):
         raise ValueError("give exactly one form source (--form or --standard)")
     if std_src is not None:
-        case = std_src if isinstance(std_src, StandardFormCase) else _parse_standard(std_src)
-        return standard_form(case)
+        return standard_form(_parse_standard(std_src))
     if isinstance(form_src, dict):
         return form_from_json(form_src)
     text = form_src.strip()
@@ -222,7 +222,7 @@ def cmd_phi(args) -> int:
         }
         _emit(args, _dump(doc))
         return EXIT_OK
-    grid = args.grid if isinstance(args.grid, GridSpec) else _parse_grid(args.grid)
+    grid = _parse_grid(args.grid)
     pts = grid.points()
     vals = field.phi.value_many(pts)
     lines = ["x,y,phi"]
@@ -274,8 +274,7 @@ def cmd_metric(args) -> int:
     grid = _setting(args, cfg, "grid")
     if grid is None:
         raise ValueError("metric needs --grid cx,cy,half,n")
-    if not isinstance(grid, GridSpec):
-        grid = _parse_grid(grid)
+    grid = _parse_grid(grid)
     h = float(_setting(args, cfg, "h", 1e-3))
     pts = grid.points()
     touch = max(2.0 * h, 1e-6)
@@ -384,10 +383,7 @@ def cmd_verify(args) -> int:
     form = _load_form(args, cfg)
     field = _field(args, cfg, form)
     grid = _setting(args, cfg, "grid")
-    if grid is not None and not isinstance(grid, GridSpec):
-        grid = _parse_grid(grid)
-    if grid is None:
-        grid = suggest_grid(field)
+    grid = suggest_grid(field) if grid is None else _parse_grid(grid)
     h = float(_setting(args, cfg, "h", 1e-3))
 
     def check_curvature():
@@ -555,6 +551,9 @@ def main(argv=None) -> int:
     except InvalidCaseData as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
+    except RootFindingFailed as exc:
+        sys.stderr.write(f"root finding failed: {exc}\n")
+        return EXIT_GEOMETRY
     except CscForgeError as exc:
         sys.stderr.write(f"geometry error: {exc}\n")
         return EXIT_GEOMETRY

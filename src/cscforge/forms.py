@@ -4,8 +4,10 @@ A form is stored by its simple-pole data ``(a_i, lambda_i)`` plus a polynomial
 exact part H, so ``omega = sum lambda_i/(z - a_i) dz + dH``.  The hypotheses
 of the construction (all poles simple including infinity, all residues real
 and nonzero) are statements about this data, which keeps their validation
-structural.  The rational coefficient ``eta`` with ``omega = eta dz`` is
-built once and cached, and so is the table of the form's zeros and poles.
+structural; so is the order at infinity, read from H and the residue
+moments.  Construction stores the data and nothing else: ``eta`` with
+``omega = eta dz`` is built as a rational function on first use by the
+table of the form's zeros and poles, its only reader.
 
 A nonconstant H makes infinity a pole of order at least 2, so every form
 that satisfies the hypotheses has dH = 0: evaluation covers the pole part
@@ -69,11 +71,10 @@ class MeromorphicOneForm:
 
     poles: Tuple[Tuple[complex, complex], ...]
     exact_part: ComplexPolynomial
-    eta: RationalFunction
 
-    def __post_init__(self):
-        locs = np.array([a for a, _ in self.poles], dtype=complex)
-        object.__setattr__(self, "_locs", locs)
+    @cached_property
+    def _locs(self) -> np.ndarray:
+        return np.array([a for a, _ in self.poles], dtype=complex)
 
     # -- evaluation (the pole part; see the module docstring) ---------------
 
@@ -128,7 +129,36 @@ class MeromorphicOneForm:
 
     def infinity_pole_order(self) -> int:
         """Order of the pole of the form at infinity (<= 0 means no pole)."""
-        return self.eta.num.degree - self.eta.den.degree + 2
+        return self._infinity_order
+
+    @cached_property
+    def _infinity_order(self) -> int:
+        """deg H + 1 for a nonconstant H.  Otherwise eta = sum_k mu_k
+        z^(-k-1) near infinity, with moments mu_k = sum lambda_i a_i^k, and
+        the order is 1 - k for the first mu_k above 1e-12 sum |lambda_i
+        a_i^k|; the first n moments of n distinct poles cannot all vanish."""
+        if self.exact_part.degree > 0:
+            return self.exact_part.degree + 1
+        lam = np.array([r for _, r in self.poles], dtype=complex)
+        terms = (lam * self._locs**k for k in range(len(lam) - 1))
+        k = next((k for k, t in enumerate(terms) if abs(t.sum()) > 1e-12 * np.abs(t).sum()),
+                 len(lam) - 1)
+        return 1 - k
+
+    @cached_property
+    def eta(self) -> RationalFunction:
+        """Monomial numerator over the pole polynomial, coprime as the poles
+        are distinct with nonzero residues.  The numerator stops at degree
+        n + order - 2; above it is only rounding from cancelling moments."""
+        locs = [a for a, _ in self.poles]
+        den = ComplexPolynomial.from_roots(locs)
+        num = ComplexPolynomial.zero()
+        for i, (a, lam) in enumerate(self.poles):
+            num = num + ComplexPolynomial.from_roots(locs[:i] + locs[i + 1:], leading=lam)
+        if self.exact_part.degree > 0:
+            num = num + self.exact_part.derivative() * den
+        top = len(locs) + self._infinity_order - 2
+        return RationalFunction(ComplexPolynomial(num.coeffs[:top + 1]), den)
 
     @cached_property
     def singular_points(self) -> Tuple[SingularPoint, ...]:
@@ -172,8 +202,8 @@ def build_third_kind(
     """Build a validated form from pole/residue data and a polynomial part.
 
     Raises :class:`DuplicatePole` if two locations collide and
-    :class:`ZeroResidue` if any residue is zero.  The cached rational
-    coefficient is self-checked against the pole sum at sample points.
+    :class:`ZeroResidue` if any residue is zero.  Nothing is expanded or
+    evaluated here.
     """
     pole_list = [(complex(a), complex(lam)) for a, lam in poles]
     for i, (a, _) in enumerate(pole_list):
@@ -189,40 +219,9 @@ def build_third_kind(
         h = exact_part.to_float()
     else:
         h = ComplexPolynomial([complex(c) for c in exact_part])
-    dh = h.derivative()
-    if not pole_list and dh.is_zero:
+    if not pole_list and h.degree <= 0:
         raise ValueError("the form is identically zero")
-
-    locs = [a for a, _ in pole_list]
-    den = ComplexPolynomial.from_roots(locs)
-    num = ComplexPolynomial.zero()
-    for i, (a, lam) in enumerate(pole_list):
-        others = locs[:i] + locs[i + 1:]
-        num = num + ComplexPolynomial.from_roots(others, leading=lam)
-    if not dh.is_zero:
-        num = num + dh * den
-    # residue sums that telescope leave ~eps junk in the top coefficients;
-    # strip it so the order at infinity comes out right
-    if not num.is_zero:
-        scale = max(abs(c) for c in num.coeffs)
-        coeffs = list(num.coeffs)
-        while coeffs and abs(coeffs[-1]) <= 1e-12 * scale:
-            coeffs.pop()
-        num = ComplexPolynomial(coeffs)
-    # poles are distinct with nonzero residues, so num and den share no root
-    eta = RationalFunction(num, den)
-
-    form = MeromorphicOneForm(tuple(pole_list), h, eta)
-    for k in range(5):
-        z = complex(1.37 + 0.61 * k, 0.83 - 0.29 * k)
-        if form.min_pole_distance(z) < 1e-3:
-            continue
-        direct = sum(lam / (z - a) for a, lam in pole_list) + (
-            dh(z) if not dh.is_zero else 0j
-        )
-        if abs(eta(z) - direct) > 1e-10 * (1.0 + abs(direct)):
-            raise AssertionError("cached rational coefficient is inconsistent")
-    return form
+    return MeromorphicOneForm(tuple(pole_list), h)
 
 
 @dataclass(frozen=True)

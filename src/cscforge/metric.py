@@ -321,9 +321,7 @@ def negation_invariance_check(
     field_a = MetricField(solve_phi_closed(form, p0, phi0), K=1)
     neg = form.negated()
     field_b = MetricField(solve_phi_closed(neg, field_a.phi.p0, 4.0 - phi0), K=1)
-    pts = sample_points_avoiding(
-        [a for a, _ in form.poles] + list(field_a.zeros), n_points, seed
-    )
+    pts = sample_points_avoiding(field_a.exclusion_points(), n_points, seed)
     rho_a = field_a.density_many(pts)
     rho_b = field_b.density_many(pts)
     return float(np.max(np.abs(rho_a - rho_b)))

@@ -88,11 +88,18 @@ class PhiField:
         return f"PhiField(p0={self.p0!r}, phi0={self.phi0!r}, a0={self.a0!r})"
 
 
-def _default_base_point(form: MeromorphicOneForm) -> complex:
-    for cand in DEFAULT_BASE_POINTS:
-        if form.min_pole_distance(cand) > 1e-9:
-            return cand
-    raise BasePointIsPole("all default base points are poles of the form")
+def _checked_base_point(form: MeromorphicOneForm, p0: complex | None) -> complex:
+    """Require the hypotheses; default the base point to the first of
+    :data:`DEFAULT_BASE_POINTS` off the poles, and refuse a pole."""
+    require_hypotheses(form)
+    if p0 is None:
+        p0 = next((c for c in DEFAULT_BASE_POINTS if form.min_pole_distance(c) > 1e-9), None)
+    if p0 is None:
+        raise BasePointIsPole("all default base points are poles of the form")
+    p0 = complex(p0)
+    if form.min_pole_distance(p0) <= 1e-9 * max(1.0, abs(p0)):
+        raise BasePointIsPole(f"base point {p0!r} is a pole")
+    return p0
 
 
 def solve_phi_closed(
@@ -106,12 +113,7 @@ def solve_phi_closed(
     real nonzero residues, :class:`BasePointIsPole` when the base point sits
     on a pole, and :class:`BadInitialValue` when ``phi0`` is outside (0, 4).
     """
-    require_hypotheses(form)
-    if p0 is None:
-        p0 = _default_base_point(form)
-    p0 = complex(p0)
-    if form.min_pole_distance(p0) <= 1e-9 * max(1.0, abs(p0)):
-        raise BasePointIsPole(f"base point {p0!r} is a pole")
+    p0 = _checked_base_point(form, p0)
     phi0 = float(phi0)
     if not (0.0 < phi0 < 4.0):
         raise BadInitialValue(f"initial value {phi0} outside (0, 4)")
@@ -125,12 +127,7 @@ def phi_field_from_a0(
     p0: complex | None = None,
 ) -> PhiField:
     """Build a field directly from its integration constant."""
-    require_hypotheses(form)
-    if p0 is None:
-        p0 = _default_base_point(form)
-    p0 = complex(p0)
-    if form.min_pole_distance(p0) <= 1e-9 * max(1.0, abs(p0)):
-        raise BasePointIsPole(f"base point {p0!r} is a pole")
+    p0 = _checked_base_point(form, p0)
     phi0 = _logistic4(form.potential(p0) + float(a0))
     if not (0.0 < phi0 < 4.0):
         raise BadInitialValue("constant so extreme the initial value saturates")

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from cscforge import MetricField, cli
 
 
@@ -43,6 +45,7 @@ class TestInspect:
                  for t in angles]
         code, _, err = run(capsys, ["inspect", "--form", json.dumps({"poles": poles})])
         assert code == 3
+        assert err.startswith("root finding failed:")
         assert "degree 16" in err
 
     def test_parse_error(self, capsys):
@@ -55,6 +58,21 @@ class TestInspect:
             ["inspect", "--form", "{}", "--standard", "simple:lambda=1"],
         )
         assert code == 1
+
+
+class TestHypothesisFailure:
+    # a simple pole at 0 plus H = z^2: infinity is a pole of order 3
+    FORM = '{"poles":[{"a":[0,0],"lambda":[1,0]}],"exact_part":[[0,0],[0,0],[1,0]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--grid", "1,1,0.1,5"], ["angles"], ["verify"],
+    ])
+    def test_field_commands_refuse_exact_part(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--form", self.FORM, "--K", "1"])
+        assert code == 2
+        assert err.startswith("hypothesis failure:")
+        assert "INFINITY" in err
+        assert out == ""
 
 
 class TestMetric:

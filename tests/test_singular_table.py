@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscforge import (
+    INFINITY,
     ComplexPolynomial,
     HypothesesFailed,
+    MeromorphicOneForm,
     build_third_kind,
+    check_hypotheses,
+    classify,
     classify_singular_points,
     cli,
     integrate_phi_along_path,
     is_infinity,
+    negation_invariance_check,
+    normalize_form,
     potential_f,
     solve_phi_closed,
 )
@@ -27,9 +33,10 @@ CLOSE_FORM = json.dumps(
 )
 
 
-def random_form(seed, n_poles, close_gap=None, exact_part=None):
+def random_form(seed, n_poles, close_gap=None, exact_part=None, sum_share=None):
     """Poles spread over |z| < 2, at least 0.05 apart; with ``close_gap`` the
-    last pole sits that far from the first."""
+    last pole sits that far from the first, and with ``sum_share`` the
+    last residue makes the residues sum to that share of sum |lambda|."""
     rng = np.random.default_rng(seed)
     locs = []
     while len(locs) < n_poles - (close_gap is not None):
@@ -39,6 +46,9 @@ def random_form(seed, n_poles, close_gap=None, exact_part=None):
     if close_gap is not None:
         locs.append(locs[0] + close_gap * np.exp(2j * math.pi * rng.uniform()))
     residues = rng.choice((-1.0, 1.0), n_poles) * rng.uniform(0.3, 3.0, n_poles)
+    if sum_share is not None:
+        residues[-1] -= residues.sum()
+        residues[-1] += sum_share * np.abs(residues).sum()
     return build_third_kind(list(zip(locs, residues)), exact_part)
 
 
@@ -80,6 +90,52 @@ def test_table_keeps_given_poles(seed, n_poles, close_gap):
     assert set(finite_poles) == {a for a, _ in form.poles}
     assert div.degree == -2
     assert form.residue_at_infinity() == -sum(lam for _, lam in form.poles)
+    assert div.weight_at(INFINITY) == -form.infinity_pole_order()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_poles=st.integers(12, 16),
+    log_share=st.floats(-11.0, -8.0),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_nearly_cancelling_residues_keep_the_pole_at_infinity(seed, n_poles, log_share):
+    # the residue sum is small but far above rounding, so infinity is a
+    # simple pole and the numerator of eta keeps its (tiny) top coefficient
+    form = random_form(seed, n_poles, sum_share=10.0 ** log_share)
+    inf = form.singular_point_at(INFINITY)
+    assert inf is not None and inf.weight == -1
+    assert inf.residue == -sum(lam for _, lam in form.poles)
+    div = form.divisor()
+    assert sum(w for p, w in div if w > 0 and not is_infinity(p)) == n_poles - 1
+    assert div.degree == -2
+
+
+def test_evaluation_builds_no_polynomials(monkeypatch):
+    """Only the zero table expands eta: the hypothesis check, the closed
+    form, the RK4 oracle, negated forms and the standard representatives
+    that classification compares against never build it."""
+    built = []
+
+    def recording(make):
+        def wrapper(*args):
+            built.append(make(*args))
+            return built[-1]
+        return wrapper
+
+    monkeypatch.setattr(MeromorphicOneForm, "negated", recording(MeromorphicOneForm.negated))
+    monkeypatch.setattr(classify, "standard_form", recording(classify.standard_form))
+    p = 1.3 * np.exp(0.4j)  # unit:alpha=3 moved by z = p w
+    form = build_third_kind([(p * np.exp(1j * math.pi * (2 * k + 1) / 3), 1.0)
+                             for k in range(3)])
+    assert check_hypotheses(form).ok
+    field = solve_phi_closed(form)
+    integrate_phi_along_path(form, [field.p0, field.p0 + 0.3j], 2.0)
+    assert "eta" not in form.__dict__
+    negation_invariance_check(form)
+    normalize_form(form)
+    assert len(built) == 2
+    assert all("eta" not in derived.__dict__ for derived in built)
 
 
 @pytest.mark.parametrize("n_poles", [2, 5, 9])
