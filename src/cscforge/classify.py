@@ -212,8 +212,9 @@ def _canonical_scale(p_alpha: complex, alpha: int) -> complex:
 
 
 def _monic_from_poles(locs: List[complex], tol: float) -> ComplexPolynomial:
-    """Monic polynomial with the given roots, with near-zero coefficients
-    snapped to exact zero (the forced identities are about exact zeros)."""
+    """Monic polynomial with the given roots (in the unit disc, so that the
+    leading 1 stays above the cutoff), with near-zero coefficients snapped
+    to exact zero (the forced identities are about exact zeros)."""
     poly = ComplexPolynomial.from_roots(locs)
     scale = max(abs(c) for c in poly.coeffs)
     cleaned = [0j if abs(c) <= tol * scale else c for c in poly.coeffs]
@@ -223,23 +224,26 @@ def _monic_from_poles(locs: List[complex], tol: float) -> ComplexPolynomial:
 def _pullback_matches(form: MeromorphicOneForm, case: StandardFormCase,
                       tol: float = 1e-10) -> bool:
     """Check that substituting z = p w turns the input into the standard
-    representative, at sample points."""
+    representative, at ten sample points clear of both forms' poles (in
+    units of the standard coordinate w); False if 100 draws find no ten."""
     std = standard_form(
         StandardFormCase(case.case, case.alpha, case.a)
     )
     p = case.scale
     rng = np.random.default_rng(911)
     checked = 0
-    while checked < 10:
+    for _ in range(100):
         w = complex(rng.uniform(0.35, 1.65) * cmath.exp(2j * math.pi * rng.uniform(0, 1)))
-        if std.min_pole_distance(w) < 0.15 or form.min_pole_distance(p * w) < 0.15:
+        if std.min_pole_distance(w) < 0.15 or form.min_pole_distance(p * w) < 0.15 * abs(p):
             continue
         lhs = form.eta_at(p * w) * p
         rhs = std.eta_at(w)
         if abs(lhs - rhs) > tol * (1.0 + abs(rhs)):
             return False
         checked += 1
-    return True
+        if checked == 10:
+            return True
+    return False
 
 
 def normalize_form(form: MeromorphicOneForm, tol: float = 1e-9) -> StandardFormCase:
@@ -258,8 +262,10 @@ def normalize_form(form: MeromorphicOneForm, tol: float = 1e-9) -> StandardFormC
             raise ResidueMismatch(f"residue {lam!r} is not real")
     div = form.divisor()
 
-    plus = [a for a, lam in form.poles if abs(lam - 1.0) <= tol]
-    minus = [a for a, lam in form.poles if abs(lam + 1.0) <= tol]
+    # pole polynomials in units of the farthest pole; the scale is multiplied back
+    reach = max((abs(a) for a, _ in form.poles), default=0.0) or 1.0
+    plus = [a / reach for a, lam in form.poles if abs(lam - 1.0) <= tol]
+    minus = [a / reach for a, lam in form.poles if abs(lam + 1.0) <= tol]
 
     if len(form.poles) == 1:
         a, lam = form.poles[0]
@@ -284,7 +290,7 @@ def normalize_form(form: MeromorphicOneForm, tol: float = 1e-9) -> StandardFormC
         for k, c in enumerate(dt.coeffs[:-1]):
             if abs(c) > tol * scale:
                 raise PatternMismatch("pole polynomial derivative is not a monomial")
-        p = _canonical_scale(complex(t.constant_term()), alpha)
+        p = reach * _canonical_scale(complex(t.constant_term()), alpha)
         case = StandardFormCase(CASE_UNIT_RESIDUES, float(alpha), scale=p)
         if not _pullback_matches(form, case):
             raise PatternMismatch("rescaled form does not match the standard one")
@@ -309,7 +315,7 @@ def normalize_form(form: MeromorphicOneForm, tol: float = 1e-9) -> StandardFormC
         a = s0 / t0
         if abs(a) < 1e-9 or abs(a - 1.0) < 1e-9:
             raise PatternMismatch("recovered constant a degenerates to 0 or 1")
-        p = _canonical_scale(t0, alpha)
+        p = reach * _canonical_scale(t0, alpha)
         case = StandardFormCase(CASE_PLUS_MINUS, float(alpha), a=a, scale=p)
         if not _pullback_matches(form, case):
             raise PatternMismatch("rescaled form does not match the standard one")

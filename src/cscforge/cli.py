@@ -2,8 +2,9 @@
 
 Subcommands: inspect, phi, metric, angles, gauss-bonnet, classify, verify.
 Exit codes: 0 success, 1 parse error, 2 hypothesis failure, 3 geometry/grid
-error or root-finding failure, 4 verification failure.  Output is data
-(CSV/JSON) and byte-stable for a fixed invocation.
+error, no standard pattern (classify) or root-finding failure, 4
+verification failure.  Output is data (CSV/JSON) and byte-stable for a
+fixed invocation.
 """
 
 from __future__ import annotations
@@ -59,13 +60,14 @@ EXIT_HYPOTHESES = 2
 EXIT_GEOMETRY = 3
 EXIT_VERIFY = 4
 
-_HYPOTHESIS_ERRORS = (HypothesesFailed, DuplicatePole, ZeroResidue)
-_PARSE_ERRORS = (
-    json.JSONDecodeError,
-    InvalidCaseData,
-    KeyError,
-    TypeError,
-    ValueError,
+# (error types, stderr label, exit code); the first match wins
+_FAILURES = (
+    ((HypothesesFailed, DuplicatePole, ZeroResidue), "hypothesis failure", EXIT_HYPOTHESES),
+    ((InvalidCaseData,), "parse error", EXIT_PARSE),
+    ((RootFindingFailed,), "root finding failed", EXIT_GEOMETRY),
+    ((PatternMismatch, ResidueMismatch), "no standard pattern", EXIT_GEOMETRY),
+    ((CscForgeError,), "geometry error", EXIT_GEOMETRY),
+    ((FileNotFoundError, KeyError, TypeError, ValueError), "parse error", EXIT_PARSE),
 )
 
 
@@ -545,24 +547,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _HYPOTHESIS_ERRORS as exc:
-        sys.stderr.write(f"hypothesis failure: {exc}\n")
-        return EXIT_HYPOTHESES
-    except InvalidCaseData as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except RootFindingFailed as exc:
-        sys.stderr.write(f"root finding failed: {exc}\n")
-        return EXIT_GEOMETRY
-    except CscForgeError as exc:
-        sys.stderr.write(f"geometry error: {exc}\n")
-        return EXIT_GEOMETRY
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except _PARSE_ERRORS as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
+    except (CscForgeError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
+        label, code = next((label, code) for types, label, code in _FAILURES
+                           if isinstance(exc, types))
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 def entry():

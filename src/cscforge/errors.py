@@ -62,8 +62,7 @@ class InvalidCaseData(CscForgeError):
 
 
 class RootFindingFailed(CscForgeError):
-    """Root finding could not resolve a polynomial: its degree is above the
-    supported cap, or its root clusters could not be confirmed."""
+    """A polynomial's degree is above the root finder's supported cap."""
 
 
 class NotMonomialIdentity(CscForgeError):

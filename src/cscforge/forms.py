@@ -5,9 +5,10 @@ exact part H, so ``omega = sum lambda_i/(z - a_i) dz + dH``.  The hypotheses
 of the construction (all poles simple including infinity, all residues real
 and nonzero) are statements about this data, which keeps their validation
 structural; so is the order at infinity, read from H and the residue
-moments.  Construction stores the data and nothing else: ``eta`` with
-``omega = eta dz`` is built as a rational function on first use by the
-table of the form's zeros and poles, its only reader.
+moments.  Construction stores the data and nothing else, and the table
+of the form's zeros and poles comes from the same data.  ``eta`` with
+``omega = eta dz`` as a rational function is built on first use; its only
+reader in the package is the zero table of a form with a nonconstant H.
 
 A nonconstant H makes infinity a pole of order at least 2, so every form
 that satisfies the hypotheses has dH = 0: evaluation covers the pole part
@@ -32,6 +33,7 @@ from .algebra import (
     RationalFunction,
     _clustered_roots,
     _point_key,
+    _polynomial_zeros,
     _points_close,
 )
 from .errors import DuplicatePole, EvalAtPole, HypothesesFailed, ZeroResidue
@@ -160,13 +162,49 @@ class MeromorphicOneForm:
         top = len(locs) + self._infinity_order - 2
         return RationalFunction(ComplexPolynomial(num.coeffs[:top + 1]), den)
 
+    def _zeros_from_poles(self) -> List[Tuple[complex, int]]:
+        """Finite zeros from the pole data (dH = 0).  w = 1/(z - a_k) sends
+        the pole of largest |lambda_k| to infinity, leaving lambda_i at
+        c_i = 1/(a_i - a_k) and, when infinity is a pole, -sum lambda at 0.
+        The zeros of sum mu_j/(w - c_j) are the eigenvalues of the deflated
+        arrowhead c_1 + (I - mu' 1^T / sum mu) diag(c' - c_1) (the AAA
+        pole-residue linearisation, Nakatsukasa, Sete & Trefethen, SIAM J.
+        Sci. Comput. 2018); the -order nearest 0 are the zero at infinity.
+        The rest are gathered in w, where their scatter scales with the
+        chart's pole spacing; mapped to z it also grows as |z - a_k|^2."""
+        lam = np.array([r for _, r in self.poles], dtype=complex)
+        k = int(np.argmax(np.abs(lam)))
+        rest = np.arange(len(lam)) != k
+        c, mu = 1.0 / (self._locs[rest] - self._locs[k]), lam[rest]
+        order = self._infinity_order
+        if order == 1:
+            c, mu = np.concatenate((c, [0j])), np.concatenate((mu, [-lam.sum()]))
+        if len(c) < 2:
+            return []
+        d = c[1:] - c[0]
+        w = c[0] + np.linalg.eigvals((np.eye(len(d)) - mu[1:, None] / mu.sum()) * d)
+        w = w[np.argsort(np.abs(w))[max(-order, 0):]]
+
+        def log_derivative(ws):
+            g = dg = 0.0
+            for cj, mj in zip(c, mu):
+                t = mj / (ws - cj)
+                g, dg = g + t, dg - t / (ws - cj)
+            return dg / g
+
+        singular = c if order >= 0 else np.concatenate((c, [0j]))
+        return [(self._locs[k] + 1.0 / x, m)
+                for x, m in _clustered_roots(w, log_derivative, singular)]
+
     @cached_property
     def singular_points(self) -> Tuple[SingularPoint, ...]:
         """Every zero and pole of the form, infinity included, in divisor
-        order.  Poles sit exactly at their given locations; the zeros are
-        the roots of eta's numerator, which carries dH times the pole
-        polynomial, found once per form."""
-        table = [SingularPoint(z, m) for z, m in _clustered_roots(self.eta.num)]
+        order.  Poles sit exactly at their given locations; the zeros come
+        from the pole data, or for a nonconstant H from the roots of eta's
+        numerator, which carries dH times the pole polynomial."""
+        zeros = (_polynomial_zeros(self.eta.num) if self.exact_part.degree > 0
+                 else self._zeros_from_poles())
+        table = [SingularPoint(z, m) for z, m in zeros]
         table += [SingularPoint(a, -1, lam) for a, lam in self.poles]
         order = self.infinity_pole_order()
         if order > 0:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cscforge import MetricField, cli
+from cscforge import MetricField, build_third_kind, cli, form_to_json, standard_form
 
 
 def run(capsys, argv):
@@ -39,14 +39,27 @@ class TestInspect:
         assert json.loads(out)["is_third_kind"] is False
 
     def test_root_finding_cap_is_not_a_parse_error(self, capsys):
-        # 24 poles: eta's numerator has degree 23, above the root-finding cap
-        angles = [2 * math.pi * k / 24 for k in range(24)]
+        # 16 poles and H = z^2: eta's numerator has degree 17, above the
+        # root-finding cap, which only forms with a nonconstant H reach
+        angles = [2 * math.pi * k / 16 for k in range(16)]
         poles = [{"a": [1.5 * math.cos(t), 1.5 * math.sin(t)], "lambda": [1.0 + t, 0.0]}
                  for t in angles]
-        code, _, err = run(capsys, ["inspect", "--form", json.dumps({"poles": poles})])
+        form = {"poles": poles, "exact_part": [[0, 0], [0, 0], [1, 0]]}
+        code, _, err = run(capsys, ["inspect", "--form", json.dumps(form)])
         assert code == 3
         assert err.startswith("root finding failed:")
         assert "degree 16" in err
+
+    def test_many_poles_inspect(self, capsys):
+        # 24 poles: the zeros come from the pole data, with no degree cap
+        angles = [2 * math.pi * k / 24 for k in range(24)]
+        poles = [{"a": [1.5 * math.cos(t), 1.5 * math.sin(t)], "lambda": [1.0 + t, 0.0]}
+                 for t in angles]
+        code, out, _ = run(capsys, ["inspect", "--form", json.dumps({"poles": poles})])
+        assert code == 0
+        weights = [e["weight"] for e in json.loads(out)["divisor"]]
+        assert sum(weights) == -2
+        assert sum(w for w in weights if w > 0) == 23
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, ["inspect", "--form", "{not json"])
@@ -209,6 +222,25 @@ class TestClassify:
         )
         assert code == 0
         assert json.loads(out)["case"] == "simple"
+
+    @pytest.mark.parametrize("spec", ["unit:alpha=3", "pm:alpha=3,a=2+0j"])
+    def test_small_scale(self, capsys, spec):
+        # moved by z = p w with |p| = 0.05: the pullback check measures its
+        # clearance from the poles in units of |p|
+        p = 0.05
+        std = standard_form(cli._parse_standard(spec))
+        form = form_to_json(build_third_kind([(p * a, lam) for a, lam in std.poles]))
+        code, out, _ = run(capsys, ["classify", "--form", json.dumps(form)])
+        assert code == 0
+        assert abs(complex(*json.loads(out)["scale"])) == pytest.approx(p, rel=1e-9)
+
+    def test_no_standard_pattern(self, capsys):
+        poles = [(0.3 + 0.1j, 1.2), (-0.8 + 0.5j, -0.4), (0.2 - 1.1j, 2.1)]
+        form = form_to_json(build_third_kind(poles))
+        code, out, err = run(capsys, ["classify", "--form", json.dumps(form)])
+        assert code == 3
+        assert err.startswith("no standard pattern:")
+        assert out == ""
 
 
 class TestVerify:

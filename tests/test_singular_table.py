@@ -1,18 +1,23 @@
 """The per-form table of zeros and poles, and the code that reads it."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cscforge import (
+    CASE_PLUS_MINUS,
+    CASE_UNIT_RESIDUES,
     INFINITY,
     ComplexPolynomial,
+    Divisor,
     HypothesesFailed,
     MeromorphicOneForm,
+    StandardFormCase,
     build_third_kind,
     check_hypotheses,
     classify,
@@ -24,9 +29,10 @@ from cscforge import (
     normalize_form,
     potential_f,
     solve_phi_closed,
+    standard_form,
 )
 
-# two conical poles 1e-3 apart, closer than the root clustering radius
+# two conical poles 1e-3 apart
 CLOSE_POLES = ((0.5 + 0j, 2.0), (0.5 + 0.001j, 1.5), (-1.0 + 0.3j, -0.7))
 CLOSE_FORM = json.dumps(
     {"poles": [{"a": [a.real, a.imag], "lambda": [lam, 0.0]} for a, lam in CLOSE_POLES]}
@@ -78,12 +84,13 @@ class TestClosePoles:
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_poles=st.integers(2, 16),
+    n_poles=st.integers(2, 40),
     close_gap=st.one_of(st.none(), st.floats(1e-3, 1e-1)),
+    sum_share=st.sampled_from([None, 0.0]),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_table_keeps_given_poles(seed, n_poles, close_gap):
-    form = random_form(seed, n_poles, close_gap)
+def test_table_keeps_given_poles(seed, n_poles, close_gap, sum_share):
+    form = random_form(seed, n_poles, close_gap, sum_share=sum_share)
     div = form.divisor()
     finite_poles = [p for p, w in div if w < 0 and not is_infinity(p)]
     assert len(finite_poles) == n_poles
@@ -91,6 +98,46 @@ def test_table_keeps_given_poles(seed, n_poles, close_gap):
     assert div.degree == -2
     assert form.residue_at_infinity() == -sum(lam for _, lam in form.poles)
     assert div.weight_at(INFINITY) == -form.infinity_pole_order()
+    # zeros, infinity included: n - 1 beside a pole at infinity, else n - 2
+    assert sum(w for _, w in div if w > 0) == n_poles - 2 + (form.infinity_pole_order() == 1)
+    for z, w in div:
+        if w == 1 and not is_infinity(z):
+            terms = np.array([lam / (z - a) for a, lam in form.poles])
+            assert abs(terms.sum()) <= 1e-8 * np.abs(terms).sum()
+    assert form.negated().divisor().matches(div)
+
+
+@given(
+    case=st.sampled_from([CASE_UNIT_RESIDUES, CASE_PLUS_MINUS]),
+    alpha=st.integers(2, 9),
+    log_p=st.floats(-2.0, 2.0),
+    turn_p=st.floats(0.0, 1.0),
+    log_a=st.floats(-1.0, 1.0),
+    turn_a=st.floats(0.0, 1.0),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_rescaled_standard_forms(case, alpha, log_p, turn_p, log_a, turn_a):
+    """Standard forms moved by z = p w keep their exact divisor pattern,
+    with the zero of order alpha - 1 at 0, and normalize back."""
+    a = None
+    if case == CASE_PLUS_MINUS:
+        a = 10.0**log_a * cmath.exp(2j * math.pi * turn_a)
+        assume(abs(a - 1.0) >= 0.3)
+    p = 10.0**log_p * cmath.exp(2j * math.pi * turn_p)
+    std = standard_form(StandardFormCase(case, alpha, a))
+    form = build_third_kind([(p * z, lam) for z, lam in std.poles])
+    at_infinity = -1 if case == CASE_UNIT_RESIDUES else alpha - 1
+    pattern = Divisor.from_pairs([(0j, alpha - 1), (INFINITY, at_infinity)]
+                                 + [(z, -1) for z, _ in form.poles])
+    div = form.divisor()
+    assert div.matches(pattern)
+    zero = next(z for z, w in div if w > 0 and not is_infinity(z))
+    assert abs(zero) <= 1e-9 * abs(p)
+    found = normalize_form(form)
+    assert (found.case, found.alpha) == (case, alpha)
+    assert abs(found.scale) == pytest.approx(abs(p), rel=1e-8)
+    if a is not None:
+        assert abs(found.a - a) <= 1e-8 * abs(a)
 
 
 @given(
@@ -112,9 +159,10 @@ def test_nearly_cancelling_residues_keep_the_pole_at_infinity(seed, n_poles, log
 
 
 def test_evaluation_builds_no_polynomials(monkeypatch):
-    """Only the zero table expands eta: the hypothesis check, the closed
-    form, the RK4 oracle, negated forms and the standard representatives
-    that classification compares against never build it."""
+    """No form that satisfies the hypotheses expands eta: not the input
+    through the hypothesis check, the closed form, the RK4 oracle, the
+    negation check and normalization (whose zero tables come from the pole
+    data), nor the negated forms and standard representatives they build."""
     built = []
 
     def recording(make):
@@ -135,7 +183,7 @@ def test_evaluation_builds_no_polynomials(monkeypatch):
     negation_invariance_check(form)
     normalize_form(form)
     assert len(built) == 2
-    assert all("eta" not in derived.__dict__ for derived in built)
+    assert all("eta" not in f.__dict__ for f in [form] + built)
 
 
 @pytest.mark.parametrize("n_poles", [2, 5, 9])
