@@ -38,7 +38,7 @@ class PathTooCloseToPole(CscForgeError):
 
 
 class StepUnderflow(CscForgeError):
-    """The fixed-step integrator could not meet its agreement tolerance."""
+    """The path integrator could not meet its agreement tolerance at its step floor."""
 
 
 class DegenerateHyperbolicPoint(CscForgeError):

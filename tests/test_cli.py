@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -186,6 +187,18 @@ class TestAngles:
         zero = near_zero[0]
         assert abs(zero["fitted_angle"] - zero["predicted_angle"]) <= \
             0.01 * zero["predicted_angle"]
+
+    def test_nan_fit_is_quiet(self, capfd):
+        # the fits at the order-4 zero go NaN; the report shows that, and
+        # numpy writes nothing to stderr about it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["angles", "--standard", "unit:alpha=5", "--K", "1"])
+        out, err = capfd.readouterr()
+        assert code == 0
+        assert any(math.isnan(e["fitted_angle"]) for e in json.loads(out)["angles"])
+        assert err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestGaussBonnet:

@@ -141,6 +141,20 @@ class TestPathOracle:
         with pytest.raises(BadInitialValue):
             integrate_phi_along_path(power_form(1.0), [1.0 + 0j, 2.0 + 0j], 4.0)
 
+    def test_saturated_tail_is_kept(self):
+        # the path passes ~4e-3 from the residue -2.86 pole, where 4 - Phi
+        # drops below 1e-16: a state stored as Phi rounds to 4 there and
+        # never comes back (it returned 3.999999999999992)
+        form = build_third_kind([
+            (0.9836203758728685 + 1.793268441108581j, -2.8580273548166604),
+            (0.8001958394412836 + 1.0490156750308648j, -0.6149381176015141),
+        ])
+        z1 = 0.9061355082830971 + 1.9905139174597775j
+        z2 = 1.0549967213183666 + 1.599521402740245j
+        field = solve_phi_closed(form, None, 2.0)
+        out = integrate_phi_along_path(form, [z1, z2], field.value(z1))
+        assert abs(out - field.value(z2)) < 1e-6
+
 
 class TestProperties:
     def test_open_range(self, test_forms):
@@ -167,6 +181,35 @@ class TestProperties:
             assert fa.value(z) < fb.value(z)
         elif fa.a0 > fb.a0:
             assert fa.value(z) > fb.value(z)
+
+    def test_oracle_near_poles(self):
+        # random 2-8 pole forms, segments passing 2e-3 - 0.3 from a pole;
+        # a StepUnderflow fails the test like a wrong value does
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 80:
+            poles = []
+            for _ in range(int(rng.integers(2, 9))):
+                a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                if all(abs(a - b) > 0.05 for b, _ in poles):
+                    sign = rng.choice((-1.0, 1.0))
+                    poles.append((a, float(sign * rng.uniform(0.2, 3.0))))
+            form = build_third_kind(poles)
+            near = poles[int(rng.integers(len(poles)))][0]
+            u = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            mid = near + np.exp(rng.uniform(np.log(2e-3), np.log(0.3))) * u
+            z1 = complex(mid - rng.uniform(0.05, 0.5) * 1j * u)
+            z2 = complex(mid + rng.uniform(0.05, 0.5) * 1j * u)
+            field = solve_phi_closed(form, None, 2.0)
+            start = field.value(z1)
+            if not 0.0 < start < 4.0:
+                continue
+            try:
+                out = integrate_phi_along_path(form, [z1, z2], start)
+            except PathTooCloseToPole:
+                continue
+            assert abs(out - field.value(z2)) < 1e-6, (poles, z1, z2)
+            checked += 1
 
     def test_closed_form_satisfies_equation(self):
         # 4 dPhi/dt along a path equals Phi (4 - Phi) * 2 Re(eta gamma')
