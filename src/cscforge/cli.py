@@ -120,55 +120,46 @@ def _point_json(p):
     return [p.real, p.imag]
 
 
-def _load_config(args) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-    return cfg
+def _merge_config(args):
+    """Fill every setting of the subcommand whose flag was not given from the
+    ``--config`` JSON object, then from the defaults."""
+    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    for key, value in {"phi0": 2.0, "h": 1e-3, **cfg}.items():
+        if getattr(args, key, False) is None:
+            setattr(args, key, value)
 
 
-def _setting(args, cfg, key, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
-
-
-def _load_form(args, cfg):
-    form_src = _setting(args, cfg, "form")
-    std_src = _setting(args, cfg, "standard")
-    if (form_src is None) == (std_src is None):
+def _load_form(args):
+    if (args.form is None) == (args.standard is None):
         raise ValueError("give exactly one form source (--form or --standard)")
-    if std_src is not None:
-        return standard_form(_parse_standard(std_src))
-    if isinstance(form_src, dict):
-        return form_from_json(form_src)
-    text = form_src.strip()
+    if args.standard is not None:
+        return standard_form(_parse_standard(args.standard))
+    if isinstance(args.form, dict):
+        return form_from_json(args.form)
+    text = args.form.strip()
     if not text.startswith("{"):
         text = Path(text).read_text()
     return form_from_json(text)
 
 
-def _field(args, cfg, form, k_required=True) -> MetricField:
-    k = _setting(args, cfg, "K")
+def _field(args, form, k_required=True) -> MetricField:
+    k = args.K
     if k is None:
         if k_required:
             raise ValueError("this command needs --K")
         k = 1
-    p0 = _setting(args, cfg, "p0")
+    p0 = args.p0
     if isinstance(p0, str):
         p0 = _parse_complex(p0)
-    phi0 = _setting(args, cfg, "phi0", 2.0)
-    phi = solve_phi_closed(form, p0, float(phi0))
+    phi = solve_phi_closed(form, p0, float(args.phi0))
     return MetricField(phi, int(k))
 
 
 def _emit(args, text: str):
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -183,8 +174,7 @@ def _dump(obj) -> str:
 
 
 def cmd_inspect(args) -> int:
-    cfg = _load_config(args)
-    form = _load_form(args, cfg)
+    form = _load_form(args)
     report = check_hypotheses(form)
     divisor = form.divisor()
     residues = [
@@ -209,9 +199,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    cfg = _load_config(args)
-    form = _load_form(args, cfg)
-    field = _field(args, cfg, form, k_required=False)
+    form = _load_form(args)
+    field = _field(args, form, k_required=False)
     points = [_parse_complex(t) for t in (args.at or [])]
     if not points and args.grid is None:
         raise ValueError("phi needs --at points or --grid")
@@ -270,14 +259,12 @@ def _locate_phi2_crossings(field: MetricField, pts: np.ndarray, nx: int) -> list
 
 
 def cmd_metric(args) -> int:
-    cfg = _load_config(args)
-    form = _load_form(args, cfg)
-    field = _field(args, cfg, form)
-    grid = _setting(args, cfg, "grid")
-    if grid is None:
+    form = _load_form(args)
+    field = _field(args, form)
+    if args.grid is None:
         raise ValueError("metric needs --grid cx,cy,half,n")
-    grid = _parse_grid(grid)
-    h = float(_setting(args, cfg, "h", 1e-3))
+    grid = _parse_grid(args.grid)
+    h = float(args.h)
     pts = grid.points()
     touch = max(2.0 * h, 1e-6)
     for p in field.exclusion_points():
@@ -294,9 +281,8 @@ def cmd_metric(args) -> int:
                 f"near: {locus}\n"
             )
             return EXIT_GEOMETRY
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             max_resid = write_density_grid(field, grid, h, fh)
         sys.stdout.write(f"max_curvature_residual={max_resid:.17g}\n")
     else:
@@ -322,9 +308,8 @@ def _angle_report_json(rep) -> dict:
 
 
 def cmd_angles(args) -> int:
-    cfg = _load_config(args)
-    form = _load_form(args, cfg)
-    field = _field(args, cfg, form)
+    form = _load_form(args)
+    field = _field(args, form)
     radii = None
     if args.radii:
         lo, hi, n = args.radii.split(",")
@@ -338,9 +323,8 @@ def cmd_angles(args) -> int:
 
 
 def cmd_gauss_bonnet(args) -> int:
-    cfg = _load_config(args)
-    form = _load_form(args, cfg)
-    field = _field(args, cfg, form)
+    form = _load_form(args)
+    field = _field(args, form)
     rep = gauss_bonnet_check(field)
     doc = {
         "chi": rep.chi,
@@ -357,8 +341,7 @@ def cmd_gauss_bonnet(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _load_config(args)
-    form = _load_form(args, cfg)
+    form = _load_form(args)
     case = normalize_form(form)
     doc = {
         "case": case.case,
@@ -366,7 +349,7 @@ def cmd_classify(args) -> int:
         "a": None if case.a is None else [case.a.real, case.a.imag],
         "scale": [case.scale.real, case.scale.imag],
     }
-    phi = solve_phi_closed(form, None, float(_setting(args, cfg, "phi0", 2.0)))
+    phi = solve_phi_closed(form, None, float(args.phi0))
     a0_std = a0_in_standard_coordinates(case, phi.a0)
     p_fb, football = reduce_to_football(case, a0_std)
     doc["football"] = {
@@ -381,12 +364,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    form = _load_form(args, cfg)
-    field = _field(args, cfg, form)
-    grid = _setting(args, cfg, "grid")
-    grid = suggest_grid(field) if grid is None else _parse_grid(grid)
-    h = float(_setting(args, cfg, "h", 1e-3))
+    form = _load_form(args)
+    field = _field(args, form)
+    grid = suggest_grid(field) if args.grid is None else _parse_grid(args.grid)
+    h = float(args.h)
 
     def check_curvature():
         curv = gauss_curvature_fd(field, grid, h)
@@ -428,8 +409,7 @@ def cmd_verify(args) -> int:
         }
 
     def check_negation():
-        phi0 = float(_setting(args, cfg, "phi0", 2.0))
-        phi0 = phi0 if 0.0 < phi0 < 4.0 else 2.0
+        phi0 = float(args.phi0)
         start = phi0 if phi0 != 2.0 else 1.5
         neg = negation_invariance_check(form, None, min(start, 4.0 - start))
         return {
@@ -546,6 +526,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
+        _merge_config(args)
         return args.func(args)
     except (CscForgeError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
         label, code = next((label, code) for types, label, code in _FAILURES

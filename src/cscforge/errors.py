@@ -74,7 +74,7 @@ class ZeroMu(CscForgeError):
 
 
 class PatternMismatch(CscForgeError):
-    """The divisor of the form does not match any standard pattern."""
+    """The pole table of the form does not match any standard pattern."""
 
 
 class ResidueMismatch(CscForgeError):

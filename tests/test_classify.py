@@ -1,9 +1,10 @@
+import cmath
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cscforge import (
@@ -163,6 +164,37 @@ class TestNormalize:
             r_in = residue_at_simple_pole(scaled.eta, a)
             r_std = residue_at_simple_pole(std.eta, a / case.scale)
             assert abs(r_in - r_std) < 1e-9
+
+    @given(
+        case=st.sampled_from(["unit_residues", "plus_minus"]),
+        alpha=st.integers(2, 9),
+        log_p=st.floats(-2.0, 2.0),
+        turn_p=st.floats(0.0, 1.0),
+        log_a=st.floats(-1.0, 1.0),
+        turn_a=st.floats(0.0, 1.0),
+        pick=st.integers(0, 17),
+        log_move=st.floats(-9.0, -3.0),
+        turn_move=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_one_moved_pole_is_rejected(self, case, alpha, log_p, turn_p, log_a,
+                                        turn_a, pick, log_move, turn_move):
+        a = None
+        if case == "plus_minus":
+            a = 10.0**log_a * cmath.exp(2j * math.pi * turn_a)
+            assume(abs(a - 1.0) >= 0.3)
+        p = 10.0**log_p * cmath.exp(2j * math.pi * turn_p)
+        poles = [(p * z, lam) for z, lam in standard_form(StandardFormCase(case, alpha, a)).poles]
+        found = normalize_form(build_third_kind(poles))
+        assert (found.case, found.alpha) == (case, alpha)
+        assert found.scale**alpha == pytest.approx(p**alpha, rel=1e-12)
+        if a is not None:
+            assert found.a == pytest.approx(a, rel=1e-12)
+        k = pick % len(poles)
+        poles[k] = (poles[k][0] * (1 + 10.0**log_move * cmath.exp(2j * math.pi * turn_move)),
+                    poles[k][1])
+        with pytest.raises(PatternMismatch):
+            normalize_form(build_third_kind(poles))
 
     def test_single_pole_off_origin_rejected(self):
         with pytest.raises(PatternMismatch):

@@ -238,8 +238,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("spec", ["unit:alpha=3", "pm:alpha=3,a=2+0j"])
     def test_small_scale(self, capsys, spec):
-        # moved by z = p w with |p| = 0.05: the pullback check measures its
-        # clearance from the poles in units of |p|
+        # moved by z = p w with |p| = 0.05: the scale comes back from the
+        # pole table at any |p|
         p = 0.05
         std = standard_form(cli._parse_standard(spec))
         form = form_to_json(build_third_kind([(p * a, lam) for a, lam in std.poles]))
@@ -250,6 +250,14 @@ class TestClassify:
     def test_no_standard_pattern(self, capsys):
         poles = [(0.3 + 0.1j, 1.2), (-0.8 + 0.5j, -0.4), (0.2 - 1.1j, 2.1)]
         form = form_to_json(build_third_kind(poles))
+        code, out, err = run(capsys, ["classify", "--form", json.dumps(form)])
+        assert code == 3
+        assert err.startswith("no standard pattern:")
+        assert out == ""
+
+    def test_exact_part_is_no_standard_pattern(self, capsys):
+        std = standard_form(cli._parse_standard("unit:alpha=3"))
+        form = form_to_json(build_third_kind(std.poles, [0, 1]))  # H = z
         code, out, err = run(capsys, ["classify", "--form", json.dumps(form)])
         assert code == 3
         assert err.startswith("no standard pattern:")
@@ -315,3 +323,28 @@ class TestConfigPrecedence:
         )
         assert code == 0
         assert abs(json.loads(out)["values"][0]["phi"] - 3.2) < 1e-12
+
+    def test_phi_grid_from_file(self, capsys, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"standard": "simple:lambda=1", "grid": "0.5,0.5,0.1,2"}))
+        code, out, _ = run(capsys, ["phi", "--config", str(cfg)])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "x,y,phi" and len(lines) == 1 + 2 * 2
+
+    def test_angles_radii_from_file(self, capsys, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"standard": "unit:alpha=2", "K": 1,
+                                   "radii": "1e-5,1e-3,4"}))
+        code, out, _ = run(capsys, ["angles", "--config", str(cfg)])
+        assert code == 0
+        assert all(len(e["fit_radii"]) == 4 for e in json.loads(out)["angles"])
+
+    def test_inspect_out_from_file(self, capsys, tmp_path):
+        cfg = tmp_path / "job.json"
+        target = tmp_path / "report.json"
+        cfg.write_text(json.dumps({"standard": "unit:alpha=2", "out": str(target)}))
+        code, out, _ = run(capsys, ["inspect", "--config", str(cfg)])
+        assert code == 0
+        assert out == ""
+        assert json.loads(target.read_text())["is_third_kind"] is True

@@ -161,8 +161,9 @@ def test_nearly_cancelling_residues_keep_the_pole_at_infinity(seed, n_poles, log
 def test_evaluation_builds_no_polynomials(monkeypatch):
     """No form that satisfies the hypotheses expands eta: not the input
     through the hypothesis check, the closed form, the RK4 oracle, the
-    negation check and normalization (whose zero tables come from the pole
-    data), nor the negated forms and standard representatives they build."""
+    negation check (whose zero table comes from the pole data) and
+    normalization, nor the negated forms and standard representatives they
+    build."""
     built = []
 
     def recording(make):
