@@ -29,6 +29,7 @@ from .classify import (
     standard_form,
 )
 from .errors import (
+    BadInitialValue,
     CscForgeError,
     DuplicatePole,
     HypothesesFailed,
@@ -63,7 +64,7 @@ EXIT_VERIFY = 4
 # (error types, stderr label, exit code); the first match wins
 _FAILURES = (
     ((HypothesesFailed, DuplicatePole, ZeroResidue), "hypothesis failure", EXIT_HYPOTHESES),
-    ((InvalidCaseData,), "parse error", EXIT_PARSE),
+    ((InvalidCaseData, BadInitialValue), "parse error", EXIT_PARSE),
     ((RootFindingFailed,), "root finding failed", EXIT_GEOMETRY),
     ((PatternMismatch, ResidueMismatch), "no standard pattern", EXIT_GEOMETRY),
     ((CscForgeError,), "geometry error", EXIT_GEOMETRY),

@@ -377,6 +377,10 @@ def suggest_grid(
     return GridSpec(center=best, half_width=half_width, n=n)
 
 
+_CSV_BLOCK = 1024  # rows formatted by one % operation
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"  # the formatter of format(x, ".17g")
+
+
 def write_density_grid(field: MetricField, grid: GridSpec, h: float, stream) -> float:
     """Write ``x,y,rho,phi,K_est`` rows (17 significant digits) and return the
     max curvature residual over the admissible points."""
@@ -387,10 +391,10 @@ def write_density_grid(field: MetricField, grid: GridSpec, h: float, stream) -> 
     lap = _laplacian_log_density(field, pts, logrho, h)
     k_est = -lap / (2.0 * rho)
     stream.write("x,y,rho,phi,K_est\n")
-    for z, r, p, k in zip(pts, rho, phi, k_est):
-        stream.write(
-            f"{z.real:.17g},{z.imag:.17g},{r:.17g},{p:.17g},{k:.17g}\n"
-        )
+    cols = (pts.real, pts.imag, rho, phi, k_est)
+    for lo in range(0, len(pts), _CSV_BLOCK):
+        block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in cols])
+        stream.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
     mask = field.admissible_mask(pts)
     if not np.any(mask):
         return math.nan

@@ -66,6 +66,16 @@ class TestInspect:
         code, _, err = run(capsys, ["inspect", "--form", "{not json"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    @pytest.mark.parametrize("phi0", ["5", "0"])
+    def test_initial_value_out_of_range_is_a_parse_error(self, capsys, command, phi0):
+        code, out, err = run(
+            capsys, [command, "--standard", "simple:lambda=1", "--K", "1", "--phi0", phi0]
+        )
+        assert code == 1
+        assert err.startswith("parse error:")
+        assert out == ""
+
     def test_two_sources_rejected(self, capsys):
         code, _, _ = run(
             capsys,

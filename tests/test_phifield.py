@@ -11,7 +11,9 @@ from cscforge import (
     BasePointIsPole,
     ComplexPolynomial,
     HypothesesFailed,
+    MeromorphicOneForm,
     PathTooCloseToPole,
+    PhiField,
     StepUnderflow,
     build_third_kind,
     integrate_phi_along_path,
@@ -154,6 +156,72 @@ class TestPathOracle:
         field = solve_phi_closed(form, None, 2.0)
         out = integrate_phi_along_path(form, [z1, z2], field.value(z1))
         assert abs(out - field.value(z2)) < 1e-6
+
+    def test_too_close_names_first_segment_and_pole(self):
+        # after a zero-length segment and a clear one, the vertical segment
+        # passes 0.05 from both poles and the last one 0.04 from -i; the
+        # first of these (segment, pole) pairs is the one reported
+        form = build_third_kind([(1j, 1.0), (-1j, 1.0)])
+        path = [2.0 + 0j, 2.0 + 0j, 0.05 + 1.5j, 0.05 - 1.5j, 0.5j]
+        with pytest.raises(PathTooCloseToPole) as info:
+            integrate_phi_along_path(form, path, 2.0, min_pole_distance=0.1)
+        assert str(info.value) == (
+            "segment (0.05+1.5j) -> (0.05-1.5j) passes within 0.1 of pole 1j"
+        )
+
+    # values of the pole-by-pole scalar oracle that the numpy pole sum
+    # replaced, recorded to 17 digits
+    THREE_POLES = [(1j, 1.0), (-1j, 1.0), (1.5 + 0.5j, -0.7)]
+    SATURATING = [
+        (0.9836203758728685 + 1.793268441108581j, -2.8580273548166604),
+        (0.8001958394412836 + 1.0490156750308648j, -0.6149381176015141),
+    ]
+    GOLDEN = {
+        # one segment, 5,000 steps (10,001 nodes) in the finer run
+        "clear pair": (THREE_POLES, [-1.2 + 0.3j, 1.9 - 0.8j], 1.3, 3.357339869393496),
+        "loop": (
+            THREE_POLES,
+            list(0.4 + 0.6 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 257))),
+            2.0,
+            2.0000000000002145,
+        ),
+        # uneven segments, one of them of zero length
+        "polyline": (
+            THREE_POLES,
+            [0.2 + 0.1j, 0.25 + 0.1j, 0.25 + 0.1j, -0.9 - 0.4j, -0.2 + 1.6j, 2.1 + 1.2j],
+            2.7,
+            3.9713635311257036,
+        ),
+        "saturated tail": (
+            SATURATING,
+            [0.9061355082830971 + 1.9905139174597775j, 1.0549967213183666 + 1.599521402740245j],
+            3.999982759887974,
+            3.999991413829009,
+        ),
+        # 2e-3 from the pole at i: the first two runs disagree, a third is run
+        "near pole": (THREE_POLES, [0.002 + 0.8j, 0.002 + 1.3j], 1.0, 2.054377357419253),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_values(self, name):
+        poles, path, start, want = self.GOLDEN[name]
+        out = integrate_phi_along_path(build_third_kind(poles), path, start)
+        assert abs(out - want) < 1e-13
+
+    def test_independent_of_form_evaluation(self, monkeypatch):
+        form = build_third_kind(self.THREE_POLES)
+        field = solve_phi_closed(form, 1.0 + 0j, 2.0)
+        z1, z2 = -1.2 + 0.3j, 1.9 - 0.8j
+        start, want = field.value(z1), field.value(z2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle evaluated the form or the closed form")
+
+        for name in ("eta_many", "eta_at", "potential", "potential_many"):
+            monkeypatch.setattr(MeromorphicOneForm, name, refuse)
+        monkeypatch.setattr(PhiField, "value", refuse)
+        out = integrate_phi_along_path(form, [z1, z2], start)
+        assert abs(out - want) < 1e-6
 
 
 class TestProperties:
