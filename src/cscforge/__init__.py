@@ -91,8 +91,10 @@ from .singularities import (
     ConeAngleReport,
     GaussBonnetReport,
     SingularPointInfo,
+    admissible_mask,
     classify_singular_points,
     estimate_cone_angle,
+    exclusion_points,
     gauss_bonnet_check,
     predicted_divisor,
     singular_point_info,

@@ -25,17 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (
-    INFINITY,
-    ComplexPolynomial,
-    ExactComplex,
-    Point,
-    is_infinity,
-)
+from .algebra import INFINITY, ComplexPolynomial, ExactComplex
 from .errors import (
     DegenerateA,
     InvalidAlpha,
@@ -46,6 +41,7 @@ from .errors import (
     ZeroMu,
 )
 from .forms import MeromorphicOneForm, build_third_kind
+from .singularities import SingularPointInfo
 
 __all__ = [
     "CASE_SIMPLE",
@@ -326,25 +322,14 @@ class FootballMetric:
     def density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray:
         return np.exp(self.log_density_many(pts, chart))
 
-    def exclusion_points(self) -> Tuple[complex, ...]:
-        return (0j,)
-
-    def admissible_mask(self, pts: np.ndarray, exclusion_radius: float = 0.05,
-                        phi_gap: float = 0.05) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex)
-        return np.abs(pts) > exclusion_radius
-
-    def predicted_angle_at(self, point: Point) -> float:
-        if is_infinity(point) or abs(complex(point)) <= 1e-9:
-            return TWO_PI * self.alpha
-        return TWO_PI
-
-    def area_singular_exponents(self) -> List[Tuple[Point, float]]:
-        return [(0j, self.alpha), (INFINITY, self.alpha)]
-
-    @property
-    def divisor_degree(self) -> float:
-        return 2.0 * (self.alpha - 1.0)
+    @cached_property
+    def singular_points(self) -> Tuple[SingularPointInfo, ...]:
+        """The two cones, at 0 and at infinity.  At alpha = 1 they are
+        smooth, but stay conical rows so the area quadrature still caps them."""
+        return tuple(SingularPointInfo(
+            location=p, kind="cone", order=None, residue=None,
+            predicted_angle=TWO_PI * self.alpha, divisor_weight=self.alpha - 1.0,
+            smooth=self.alpha == 1.0, conical_expected=True) for p in (0j, INFINITY))
 
 
 def football_metric(alpha: float, variant: str = "generic", b: float = 0.0

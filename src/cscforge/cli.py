@@ -48,10 +48,11 @@ from .metric import (
     suggest_grid,
     write_density_grid,
 )
-from .phifield import solve_phi_closed
+from .phifield import PhiField, solve_phi_closed
 from .singularities import (
     classify_singular_points,
     estimate_cone_angle,
+    exclusion_points,
     gauss_bonnet_check,
 )
 
@@ -145,17 +146,18 @@ def _load_form(args):
     return form_from_json(text)
 
 
+def _phi(args, form) -> PhiField:
+    p0 = _parse_complex(args.p0) if isinstance(args.p0, str) else args.p0
+    return solve_phi_closed(form, p0, float(args.phi0))
+
+
 def _field(args, form, k_required=True) -> MetricField:
     k = args.K
     if k is None:
         if k_required:
             raise ValueError("this command needs --K")
         k = 1
-    p0 = args.p0
-    if isinstance(p0, str):
-        p0 = _parse_complex(p0)
-    phi = solve_phi_closed(form, p0, float(args.phi0))
-    return MetricField(phi, int(k))
+    return MetricField(_phi(args, form), int(k))
 
 
 def _emit(args, text: str):
@@ -268,7 +270,7 @@ def cmd_metric(args) -> int:
     h = float(args.h)
     pts = grid.points()
     touch = max(2.0 * h, 1e-6)
-    for p in field.exclusion_points():
+    for p in exclusion_points(field):
         if np.min(np.abs(pts - p)) < touch:
             sys.stderr.write(f"grid touches the singular point {p!r}\n")
             return EXIT_GEOMETRY
@@ -350,8 +352,7 @@ def cmd_classify(args) -> int:
         "a": None if case.a is None else [case.a.real, case.a.imag],
         "scale": [case.scale.real, case.scale.imag],
     }
-    phi = solve_phi_closed(form, None, float(args.phi0))
-    a0_std = a0_in_standard_coordinates(case, phi.a0)
+    a0_std = a0_in_standard_coordinates(case, _phi(args, form).a0)
     p_fb, football = reduce_to_football(case, a0_std)
     doc["football"] = {
         "alpha": football.alpha,

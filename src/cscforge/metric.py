@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from functools import cached_property
+from typing import List, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Point, is_infinity
 from .errors import DegenerateHyperbolicPoint, GridTouchesSingularity
 from .forms import MeromorphicOneForm
 from .phifield import PhiField, solve_phi_closed
-from .singularities import TWO_PI, predicted_divisor, singular_point_info
+from .singularities import SingularPointInfo, admissible_mask, exclusion_points, singular_point_info
 
 __all__ = [
     "DensityField",
@@ -72,25 +72,16 @@ class GridSpec:
 
 class DensityField(Protocol):
     """What the verification routines need of a metric: its curvature sign,
-    its log density in the z or w = 1/z chart, and its singular points with
-    their predicted angles.  :class:`MetricField` and the closed two-cone
-    families implement it."""
+    its log density in the z or w = 1/z chart, and one table of its singular
+    points, from which :mod:`.singularities` derives every other view.
+    :class:`MetricField` and the closed two-cone families implement it."""
 
     K: int
 
     def log_density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray: ...
 
-    def exclusion_points(self) -> Tuple[complex, ...]: ...
-
-    def admissible_mask(self, pts: np.ndarray, exclusion_radius: float = 0.05,
-                        phi_gap: float = 0.05) -> np.ndarray: ...
-
-    def area_singular_exponents(self) -> List[Tuple[Point, float]]: ...
-
-    def predicted_angle_at(self, point: Point) -> Optional[float]: ...
-
     @property
-    def divisor_degree(self) -> float: ...
+    def singular_points(self) -> Tuple[SingularPointInfo, ...]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +99,10 @@ class MetricField:
     def form(self) -> MeromorphicOneForm:
         return self.phi.form
 
-    @property
-    def zeros(self) -> Tuple[complex, ...]:
-        return tuple(p.location for p in self.form.singular_points
-                     if p.weight > 0 and not is_infinity(p.location))
+    @cached_property
+    def singular_points(self) -> Tuple[SingularPointInfo, ...]:
+        """The angle rules applied to every zero and pole of the form."""
+        return tuple(singular_point_info(p, self.K) for p in self.form.singular_points)
 
     # -- evaluation --------------------------------------------------------
 
@@ -124,10 +115,6 @@ class MetricField:
                 extra = -4.0 * np.log(np.abs(pts))
             return 1.0 / pts, extra
         raise ValueError("chart must be 'z' or 'w'")
-
-    def phi_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray:
-        zs, _ = self._chart_z(pts, chart)
-        return self.phi.value_many(zs)
 
     def log_density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray:
         """log(rho) at an array of points, in the z chart or the w = 1/z chart
@@ -164,53 +151,6 @@ class MetricField:
 
     def density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray:
         return np.exp(self.log_density_many(pts, chart))
-
-    # -- singular-point bookkeeping -----------------------------------------
-
-    def exclusion_points(self) -> Tuple[complex, ...]:
-        """All finite zeros and poles of the form."""
-        return self.zeros + tuple(a for a, _ in self.form.poles)
-
-    def admissible_mask(
-        self,
-        pts: np.ndarray,
-        exclusion_radius: float = 0.05,
-        phi_gap: float = 0.05,
-    ) -> np.ndarray:
-        """Points farther than ``exclusion_radius`` from every zero and pole
-        and, for K = -1, at least ``phi_gap`` from the locus where the field
-        value is 2.  A radius or gap of 0 switches its test off."""
-        pts = np.asarray(pts, dtype=complex)
-        mask = np.ones(pts.shape, dtype=bool)
-        if exclusion_radius > 0:
-            for p in self.exclusion_points():
-                mask &= np.abs(pts - p) > exclusion_radius
-        if self.K == -1 and phi_gap > 0:
-            mask &= np.abs(self.phi.value_many(pts) - 2.0) >= phi_gap
-        return mask
-
-    def predicted_angle_at(self, point: Point) -> Optional[float]:
-        """Predicted angle at a point: ``2 pi`` at regular points, None
-        where no angle is asserted."""
-        entry = self.form.singular_point_at(point)
-        if entry is None:
-            return TWO_PI
-        return singular_point_info(entry, self.K).predicted_angle
-
-    @property
-    def divisor_degree(self) -> float:
-        return float(predicted_divisor(self.form, self.K).degree)
-
-    def area_singular_exponents(self) -> List[Tuple[Point, float]]:
-        """Genuinely conical points with the local exponent a (density like
-        r^(2(a-1))), the predicted angle over ``2 pi``; smooth points are
-        omitted."""
-        out: List[Tuple[Point, float]] = []
-        for entry in self.form.singular_points:
-            info = singular_point_info(entry, self.K)
-            if info.conical_expected:
-                out.append((entry.location, info.predicted_angle / TWO_PI))
-        return out
 
 
 @dataclass(frozen=True)
@@ -267,7 +207,7 @@ def gauss_curvature_fd(
     else:
         pts = np.asarray(grid, dtype=complex).ravel()
         desc = f"{pts.size} explicit points"
-    mask = field.admissible_mask(pts, exclusion_radius, phi_gap)
+    mask = admissible_mask(field, pts, exclusion_radius, phi_gap)
     admissible = pts[mask]
     if admissible.size == 0:
         raise GridTouchesSingularity("no admissible grid points remain")
@@ -321,7 +261,7 @@ def negation_invariance_check(
     field_a = MetricField(solve_phi_closed(form, p0, phi0), K=1)
     neg = form.negated()
     field_b = MetricField(solve_phi_closed(neg, field_a.phi.p0, 4.0 - phi0), K=1)
-    pts = sample_points_avoiding(field_a.exclusion_points(), n_points, seed)
+    pts = sample_points_avoiding(exclusion_points(field_a), n_points, seed)
     rho_a = field_a.density_many(pts)
     rho_b = field_b.density_many(pts)
     return float(np.max(np.abs(rho_a - rho_b)))
@@ -336,7 +276,7 @@ def suggest_grid(
 ) -> GridSpec:
     """Pick a grid patch well clear of singular points (and of the K = -1
     degeneracy locus), preferring patches where the density is moderate."""
-    exclusions = field.exclusion_points()
+    exclusions = exclusion_points(field)
     candidates: List[complex] = []
     for xr in np.arange(-2.0, 2.01, 0.25):
         for yi in np.arange(-2.0, 2.01, 0.25):
@@ -358,11 +298,13 @@ def suggest_grid(
         side[:, None] + 1j * side[None, :]).ravel()[None, :]
     ok = np.ones(len(kept), dtype=bool)
     if field.K == -1:
-        ok = field.admissible_mask(probes.ravel(), 0.0, phi_margin).reshape(
+        ok = admissible_mask(field, probes.ravel(), 0.0, phi_margin).reshape(
             probes.shape).all(axis=1)
     levels = np.full(len(kept), math.nan)
     logrho = field.log_density_many(probes[ok].ravel()).reshape(-1, probes.shape[1])
-    levels[ok] = np.median(np.abs(logrho), axis=1)
+    # the median of each odd-sized probe row (np.median would import numpy.ma)
+    mid = probes.shape[1] // 2
+    levels[ok] = np.partition(np.abs(logrho), mid, axis=1)[:, mid]
     best = None
     best_score = -math.inf
     for c, dist, good, level in zip(kept, dists, ok, levels):
@@ -387,7 +329,7 @@ def write_density_grid(field: MetricField, grid: GridSpec, h: float, stream) -> 
     pts = grid.points()
     logrho = field.log_density_many(pts)
     rho = np.exp(logrho)
-    phi = field.phi_many(pts)
+    phi = field.phi.value_many(pts)
     lap = _laplacian_log_density(field, pts, logrho, h)
     k_est = -lap / (2.0 * rho)
     stream.write("x,y,rho,phi,K_est\n")
@@ -395,7 +337,7 @@ def write_density_grid(field: MetricField, grid: GridSpec, h: float, stream) -> 
     for lo in range(0, len(pts), _CSV_BLOCK):
         block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in cols])
         stream.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
-    mask = field.admissible_mask(pts)
+    mask = admissible_mask(field, pts)
     if not np.any(mask):
         return math.nan
     return float(np.max(np.abs(k_est[mask] - field.K)))

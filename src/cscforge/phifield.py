@@ -18,6 +18,7 @@ bounded blocks, and only the scalar RK4 update runs in Python.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -246,6 +247,9 @@ def integrate_phi_along_path(
     if not (0.0 < phi_start < 4.0):
         raise BadInitialValue(f"start value {phi_start} outside (0, 4)")
     pts = [complex(p) for p in path]
+    for k, p in enumerate(pts):
+        if not cmath.isfinite(p):
+            raise ValueError(f"path vertex {k} is not finite: {p!r}")
     ends = [(z0, z1) for z0, z1 in zip(pts, pts[1:]) if z0 != z1]
     if not ends:
         return phi_start

@@ -1,5 +1,9 @@
 """Cone-angle prediction and measurement, and total-curvature accounting.
 
+Every view the checks need of a field's singular points (the points to
+avoid, the predicted angle at a point, the conical exponents of the area
+caps, the divisor degree) is derived here from its one table of them.
+
 Near a conical point of angle ``2 pi a`` the density behaves like
 ``r^(2(a-1))`` times a continuous positive factor, so regressing the
 angular average of ``u(r) = log(rho)/2`` against ``log r`` recovers
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Divisor, Point, is_infinity
+from .algebra import Divisor, Point, _points_close, is_infinity
 from .errors import AnnulusContainsSingularity, NonConicalSingularityPresent
 from .forms import MeromorphicOneForm, SingularPoint, require_hypotheses
 
@@ -41,6 +45,8 @@ __all__ = [
     "singular_point_info",
     "classify_singular_points",
     "predicted_divisor",
+    "exclusion_points",
+    "admissible_mask",
     "estimate_cone_angle",
     "gauss_bonnet_check",
     "total_metric_area",
@@ -55,7 +61,7 @@ class SingularPointInfo:
     """Per-point prediction: what the divisor rules say about one location."""
 
     location: Point
-    kind: str                       # "zero" or "pole"
+    kind: str                       # "zero", "pole" or "cone" (a closed family's)
     order: Optional[int]            # zero order, when kind == "zero"
     residue: Optional[float]        # real residue, when kind == "pole"
     predicted_angle: Optional[float]
@@ -164,6 +170,28 @@ def predicted_divisor(form: MeromorphicOneForm, K: int) -> Divisor:
     return Divisor.from_pairs(pairs)
 
 
+def exclusion_points(field: DensityField) -> Tuple[complex, ...]:
+    """The finite locations of the field's singular-point table."""
+    return tuple(complex(i.location) for i in field.singular_points
+                 if not is_infinity(i.location))
+
+
+def admissible_mask(field: DensityField, pts: np.ndarray, exclusion_radius: float = 0.05,
+                    phi_gap: float = 0.05) -> np.ndarray:
+    """Points farther than ``exclusion_radius`` from every finite singular
+    point and, for K = -1, at least ``phi_gap`` from the locus where the
+    field value is 2 (read from ``field.phi``).  A radius or gap of 0
+    switches its test off."""
+    pts = np.asarray(pts, dtype=complex)
+    mask = np.ones(pts.shape, dtype=bool)
+    if exclusion_radius > 0:
+        for p in exclusion_points(field):
+            mask &= np.abs(pts - p) > exclusion_radius
+    if field.K == -1 and phi_gap > 0:
+        mask &= np.abs(field.phi.value_many(pts) - 2.0) >= phi_gap
+    return mask
+
+
 def _ring(n_theta: int) -> np.ndarray:
     """The n_theta-th roots of unity, for equally spaced angular samples."""
     return np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
@@ -172,7 +200,7 @@ def _ring(n_theta: int) -> np.ndarray:
 def _chart_exclusions(field: DensityField, point: Point) -> Tuple[complex, List[complex]]:
     """Map the field's exclusion points into the fitting chart; the chart
     center represents ``point`` itself."""
-    exclusions = list(field.exclusion_points())
+    exclusions = exclusion_points(field)
     if is_infinity(point):
         center = 0j
         others = [1.0 / p for p in exclusions if abs(p) > 0]
@@ -218,7 +246,7 @@ def estimate_cone_angle(
     # only zeros can sit on the degeneracy locus: the field saturates to 0
     # or 4 at poles.  Radius 0 keeps the point itself in the mask.
     if field.K == -1 and not is_infinity(point):
-        if not field.admissible_mask(np.array([center]), 0.0, 1e-6)[0]:
+        if not admissible_mask(field, np.array([center]), 0.0, 1e-6)[0]:
             note = "degenerate: K=-1 field value is 2 at this point"
 
     rings = center + radii[:, None] * _ring(n_theta)[None, :]
@@ -237,7 +265,9 @@ def estimate_cone_angle(
         ss_tot = float(np.sum((u - ubar) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-24 else 0.0
     fitted = TWO_PI * (slope + 1.0)
-    predicted = field.predicted_angle_at(point)
+    # 2 pi at regular points, None where the table asserts no angle
+    predicted = next((i.predicted_angle for i in field.singular_points
+                      if _points_close(i.location, point, 1e-9)), TWO_PI)
     conical = (
         r2 >= 0.999
         and fitted > 0.0
@@ -422,7 +452,9 @@ def total_metric_area(field: DensityField) -> AreaEstimate:
     doubles its node counts until two successive values agree; the last gap
     is its error estimate.
     """
-    sing = field.area_singular_exponents()
+    # conical points with the local exponent a (density like r^(2(a-1)))
+    sing = [(i.location, i.predicted_angle / TWO_PI)
+            for i in field.singular_points if i.conical_expected]
     finite = [complex(p) for p, _ in sing if not is_infinity(p)]
     split = _split_radius(finite)
     area = error = 0.0
@@ -458,7 +490,8 @@ def gauss_bonnet_check(field: DensityField) -> GaussBonnetReport:
         raise NonConicalSingularityPresent(
             "total-curvature accounting requires K = 1 on the sphere"
         )
-    deg_d = float(field.divisor_degree)
+    deg_d = float(sum(i.divisor_weight for i in field.singular_points
+                      if i.conical_expected))
     est = total_metric_area(field)
     expected = TWO_PI * (2.0 + deg_d)
     return GaussBonnetReport(

@@ -4,7 +4,16 @@ import warnings
 
 import pytest
 
-from cscforge import MetricField, build_third_kind, cli, form_to_json, standard_form
+from cscforge import (
+    MetricField,
+    a0_in_standard_coordinates,
+    build_third_kind,
+    cli,
+    form_to_json,
+    normalize_form,
+    solve_phi_closed,
+    standard_form,
+)
 
 
 def run(capsys, argv):
@@ -256,6 +265,15 @@ class TestClassify:
         code, out, _ = run(capsys, ["classify", "--form", json.dumps(form)])
         assert code == 0
         assert abs(complex(*json.loads(out)["scale"])) == pytest.approx(p, rel=1e-9)
+
+    def test_base_point_is_read(self, capsys):
+        form = standard_form(cli._parse_standard("unit:alpha=3"))
+        case = normalize_form(form)
+        want = a0_in_standard_coordinates(case, solve_phi_closed(form, 2 + 0.5j, 2.0).a0)
+        code, out, _ = run(capsys, ["classify", "--standard", "unit:alpha=3",
+                                    "--p0", "2,0.5"])
+        assert code == 0
+        assert json.loads(out)["football"]["a0_standard"] == want
 
     def test_no_standard_pattern(self, capsys):
         poles = [(0.3 + 0.1j, 1.2), (-0.8 + 0.5j, -0.4), (0.2 - 1.1j, 2.1)]

@@ -10,7 +10,9 @@ from cscforge import (
     GridSpec,
     GridTouchesSingularity,
     MetricField,
+    admissible_mask,
     build_third_kind,
+    exclusion_points,
     football_metric,
     gauss_curvature_fd,
     negation_invariance_check,
@@ -26,14 +28,10 @@ class _ConstantDensity:
 
     K = 0
 
+    singular_points = ()
+
     def log_density_many(self, pts, chart="z"):
         return np.zeros(np.asarray(pts).shape)
-
-    def admissible_mask(self, pts, exclusion_radius=0.05, phi_gap=0.05):
-        return np.ones(np.asarray(pts).shape, dtype=bool)
-
-    def exclusion_points(self):
-        return ()
 
 
 def pair_form():
@@ -182,13 +180,13 @@ class TestGridIO:
         for form in test_forms[:3]:
             m = MetricField(solve_phi_closed(form, None, 2.0), K=1)
             g = suggest_grid(m)
-            mask = m.admissible_mask(g.points(), 0.05, 0.05)
+            mask = admissible_mask(m, g.points(), 0.05, 0.05)
             assert np.all(mask)
 
 
 def suggest_grid_per_patch(field, half_width=0.1, n=21, margin=0.3, phi_margin=0.25):
     """Reference: one density call per candidate patch."""
-    exclusions = field.exclusion_points()
+    exclusions = exclusion_points(field)
     candidates = []
     for xr in np.arange(-2.0, 2.01, 0.25):
         for yi in np.arange(-2.0, 2.01, 0.25):
@@ -205,7 +203,7 @@ def suggest_grid_per_patch(field, half_width=0.1, n=21, margin=0.3, phi_margin=0
             continue
         probe = c + (np.linspace(-half_width, half_width, 5)[:, None]
                      + 1j * np.linspace(-half_width, half_width, 5)[None, :]).ravel()
-        if field.K == -1 and not np.all(field.admissible_mask(probe, 0.0, phi_margin)):
+        if field.K == -1 and not np.all(admissible_mask(field, probe, 0.0, phi_margin)):
             continue
         level = float(np.median(np.abs(field.log_density_many(probe))))
         score = min(dist, 1.0) - 0.05 * level

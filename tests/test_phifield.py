@@ -139,6 +139,12 @@ class TestPathOracle:
                 form, [1.0 + 0j, 2.0 + 0j], 2.0, step=0.25, agreement_tol=1e-16
             )
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_non_finite_vertex_is_named(self, bad):
+        form = build_third_kind([(1j, 1.0), (-1j, 1.0)])
+        with pytest.raises(ValueError, match=r"path vertex 1 is not finite"):
+            integrate_phi_along_path(form, [0.5 + 0j, bad], 1.0)
+
     def test_bad_start(self):
         with pytest.raises(BadInitialValue):
             integrate_phi_along_path(power_form(1.0), [1.0 + 0j, 2.0 + 0j], 4.0)

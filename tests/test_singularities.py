@@ -15,7 +15,9 @@ from cscforge import (
     classify_singular_points,
     cli,
     estimate_cone_angle,
+    exclusion_points,
     football_metric,
+    is_infinity,
     gauss_bonnet_check,
     phi_field_from_a0,
     predicted_divisor,
@@ -60,6 +62,29 @@ class TestPredictedDivisor:
         form = build_third_kind([(0j, -3.0)])
         d = predicted_divisor(form, 1)
         assert abs(d.weight_at(0j) - 2.0) < 1e-12
+
+
+class TestSingularPointTable:
+    @pytest.mark.parametrize("K", [1, 0, -1])
+    def test_metric_field_table_is_the_classification(self, test_forms, K):
+        for form in test_forms:
+            m = MetricField(solve_phi_closed(form, None, 2.0), K=K)
+            assert m.singular_points == tuple(classify_singular_points(form, K))
+            finite = {p.location for p in form.singular_points
+                      if not is_infinity(p.location)}
+            assert set(exclusion_points(m)) == finite
+
+    @pytest.mark.parametrize("fm", [
+        football_metric(0.5),
+        football_metric(1.0),
+        football_metric(2.5),
+        football_metric(3.0, "integer", 1.0),
+    ])
+    def test_football_table(self, fm):
+        # the degree and the angle come from the two cone rows, exactly
+        assert gauss_bonnet_check(fm).deg_d == 2 * (fm.alpha - 1)
+        assert estimate_cone_angle(fm, 0j).predicted_angle == TWO_PI * fm.alpha
+        assert exclusion_points(fm) == (0j,)
 
 
 class TestConeAngles:
