@@ -14,12 +14,8 @@ from .algebra import (
     ComplexPolynomial,
     Divisor,
     ExactComplex,
-    RationalFunction,
     is_infinity,
-    one_form_divisor,
-    pole_order_at_infinity,
     residue_at_infinity,
-    residue_at_simple_pole,
 )
 from .classify import (
     CASE_PLUS_MINUS,
@@ -48,12 +44,10 @@ from .errors import (
     InvalidAlpha,
     InvalidCaseData,
     NonConicalSingularityPresent,
-    NotASimplePole,
     NotMonomialIdentity,
     PathTooCloseToPole,
     PatternMismatch,
     ResidueMismatch,
-    RootFindingFailed,
     StepUnderflow,
     ZeroMu,
     ZeroResidue,

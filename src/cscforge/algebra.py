@@ -1,16 +1,16 @@
-"""Complex polynomial and rational-function arithmetic on the Riemann sphere.
+"""Points, polynomials and divisors on the Riemann sphere.
 
-Two coefficient regimes live side by side:
+Two coefficient regimes live side by side in :class:`ComplexPolynomial`:
 
 * exact Gaussian rationals (:class:`ExactComplex`, backed by
   :class:`fractions.Fraction`) for identity work where coefficients must
-  vanish exactly, and
-* double-precision complex for field evaluation on grids.
+  vanish exactly (the Wronskian identity of the classifier), and
+* double-precision complex for a form's exact part H.
 
 The point at infinity is a distinguished value (:data:`INFINITY`), never a
-large coordinate.  Order and residue bookkeeping at infinity goes through the
-w = 1/z chart algebraically, via coefficient reversal and power-series
-division, so the chart change is exact.
+large coordinate.  A form's zeros come from eigenproblems on its pole data
+(see :mod:`cscforge.forms`); this module gathers the eigenvalues into zeros
+with numerical multiplicities, and holds the divisor they are reported in.
 """
 
 from __future__ import annotations
@@ -22,20 +22,14 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NotASimplePole, RootFindingFailed
-
 __all__ = [
     "INFINITY",
     "Point",
     "is_infinity",
     "ExactComplex",
     "ComplexPolynomial",
-    "RationalFunction",
     "Divisor",
-    "residue_at_simple_pole",
     "residue_at_infinity",
-    "pole_order_at_infinity",
-    "one_form_divisor",
 ]
 
 
@@ -318,13 +312,6 @@ class ComplexPolynomial:
                 out[i + j] = out[i + j] + ca * cb
         return ComplexPolynomial(out, exact=a.exact)
 
-    def scale(self, factor) -> "ComplexPolynomial":
-        if _is_exact_scalar(factor) and self.exact:
-            f = ExactComplex.coerce(factor)
-            return ComplexPolynomial([f * c for c in self.coeffs], exact=True)
-        f = complex(factor)
-        return ComplexPolynomial([f * complex(c) for c in self.coeffs], exact=False)
-
     def derivative(self) -> "ComplexPolynomial":
         if self.degree <= 0:
             return ComplexPolynomial.zero(exact=self.exact)
@@ -347,15 +334,6 @@ class ComplexPolynomial:
             acc = acc * z + complex(c)
         return acc
 
-    def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        if self.is_zero:
-            return np.zeros_like(zs)
-        acc = np.full_like(zs, complex(self.coeffs[-1]))
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * zs + complex(c)
-        return acc
-
     def __eq__(self, other):
         if not isinstance(other, ComplexPolynomial):
             return NotImplemented
@@ -374,20 +352,8 @@ class ComplexPolynomial:
 
     # -- roots -------------------------------------------------------------
 
+    # No zero table calls this; it stays because perfbench/tracing.py traces it by name.
     def roots(self) -> np.ndarray:
-        """Roots via the companion matrix, up to degree 16: forms with a
-        nonconstant H and :func:`one_form_divisor` reach this cap, the rest
-        take their zeros from the pole data.  The monomial basis loses a
-        form's zeros as poles are added: over 300 random forms per size
-        (poles in |z| < 2 at least 0.05 apart, residues +-0.3 to 3), the
-        worst |eta| at the returned zeros relative to sum |lambda_i/(z - a_i)|
-        was 2.8e-10 at 17 poles, 6.0e-8 at 24, 1.7e-6 at 32, 2.7e-5 at 40."""
-        if self.degree <= 0:
-            return np.empty(0, dtype=complex)
-        if self.degree > 16:
-            raise RootFindingFailed(
-                f"root finding is supported up to degree 16 only (degree {self.degree})"
-            )
         return np.roots(self.to_complex_array()[::-1])
 
 
@@ -457,146 +423,10 @@ def _clustered_roots(raw, log_derivative, singular=()) -> List[Tuple[complex, in
     return out
 
 
-def _polynomial_zeros(poly: ComplexPolynomial) -> List[Tuple[complex, int]]:
-    """The zeros of ``poly`` with their multiplicities (degree cap of
-    :meth:`ComplexPolynomial.roots`)."""
-    deriv = poly.derivative()
-    return _clustered_roots(poly.roots(), lambda zs: deriv.eval_many(zs) / poly.eval_many(zs))
-
-
-# ---------------------------------------------------------------------------
-# Rational functions
-# ---------------------------------------------------------------------------
-
-
-class RationalFunction:
-    """Ratio of two polynomials with a monic denominator.
-
-    No common factors are cancelled: callers build the two polynomials
-    coprime (the forms of this package have distinct poles with nonzero
-    residues).
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if not isinstance(num, ComplexPolynomial):
-            num = ComplexPolynomial(num)
-        if not isinstance(den, ComplexPolynomial):
-            den = ComplexPolynomial(den)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.exact != den.exact:
-            num, den = num.to_float(), den.to_float()
-        lead = den.leading_coefficient
-        if num.exact:
-            if lead != ExactComplex(1):
-                inv = ExactComplex(1) / lead
-                num, den = num.scale(inv), den.scale(inv)
-        else:
-            if lead != 1.0:
-                num, den = num.scale(1.0 / lead), den.scale(1.0 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @property
-    def exact(self) -> bool:
-        return self.num.exact
-
-    def __call__(self, z):
-        return self.num(z) / self.den(z)
-
-    def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        return self.num.eval_many(zs) / self.den.eval_many(zs)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
-def _poly_eval_scale(poly: ComplexPolynomial, a: complex) -> float:
-    """Scale of rounding error when evaluating ``poly`` at ``a``."""
-    s = 0.0
-    p = 1.0
-    for c in poly.coeffs:
-        s += abs(complex(c)) * p
-        p *= abs(a) if abs(a) > 0 else 1.0
-    return max(s, 1e-300)
-
-
-def residue_at_simple_pole(r: RationalFunction, a):
-    """Residue of ``r`` at a simple pole ``a``, computed as num(a)/den'(a).
-
-    Raises :class:`NotASimplePole` when ``a`` is not a simple root of the
-    denominator, or is a root of the numerator.
-    """
-    den_d = r.den.derivative()
-    if r.exact and _is_exact_scalar(a):
-        a = ExactComplex.coerce(a)
-        if not r.den(a).is_zero:
-            raise NotASimplePole(f"{a!r} is not a pole")
-        if den_d(a).is_zero:
-            raise NotASimplePole(f"pole at {a!r} is not simple")
-        if r.num(a).is_zero:
-            raise NotASimplePole(f"{a!r} is a removable point")
-        return r.num(a) / den_d(a)
-    a = complex(a)
-    den_val = r.den(a)
-    if abs(den_val) > 1e-7 * _poly_eval_scale(r.den, a):
-        raise NotASimplePole(f"{a!r} is not a pole")
-    dval = den_d(a)
-    if abs(dval) <= 1e-7 * _poly_eval_scale(den_d, a):
-        raise NotASimplePole(f"pole at {a!r} is not simple")
-    nval = r.num(a)
-    if abs(nval) <= 1e-10 * _poly_eval_scale(r.num, a):
-        raise NotASimplePole(f"{a!r} is a removable point")
-    return nval / dval
-
-
-def pole_order_at_infinity(r: RationalFunction) -> int:
-    """Order of the pole of ``r dz`` at infinity (non-positive: no pole)."""
-    if r.num.is_zero:
-        raise ValueError("the zero form has no divisor")
-    return r.num.degree - r.den.degree + 2
-
-
-def residue_at_infinity(r: RationalFunction):
-    """Residue at infinity of the form ``r dz``.
-
-    Computed in the w = 1/z chart: the pullback is ``-r(1/w)/w^2 dw`` and its
-    residue at w = 0 is read off a power-series division of the reversed
-    coefficient sequences.  Works for poles of any order at infinity; when
-    all finite poles are simple it equals minus the sum of finite residues.
-    """
-    if r.num.is_zero:
-        return ExactComplex(0) if r.exact else 0j
-    m, n = r.num.degree, r.den.degree
-    k = m - n + 1
-    zero = ExactComplex(0) if r.exact else 0j
-    if k < 0:
-        return zero
-    # reversed coefficient sequences: p~_i = p_{m-i}, q~_i = q_{n-i}
-    p_rev = list(reversed(r.num.coeffs))
-    q_rev = list(reversed(r.den.coeffs))
-    c: List = []
-    for j in range(k + 1):
-        acc = p_rev[j] if j < len(p_rev) else zero
-        for i in range(1, j + 1):
-            qi = q_rev[i] if i < len(q_rev) else zero
-            acc = acc - qi * c[j - i]
-        c.append(acc / q_rev[0])
-    return -c[k]
+def residue_at_infinity(residues: Iterable[complex]) -> complex:
+    """Residue at infinity of a form whose finite poles are simple with these
+    residues: by the residue theorem, minus their sum (dH has no residue)."""
+    return -sum(residues, 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -674,25 +504,3 @@ class Divisor:
     def __repr__(self) -> str:
         inner = " + ".join(f"{w}*({p!r})" for p, w in self.points)
         return f"Divisor({inner or '0'})"
-
-
-def one_form_divisor(eta: RationalFunction) -> Divisor:
-    """Zero/pole divisor on the sphere of the form ``eta dz``.
-
-    Finite zeros carry their multiplicity, finite poles carry minus theirs,
-    and the order at infinity is read off the w = 1/z chart:
-    ``ord_inf = deg(den) - deg(num) - 2``.  The total degree is always -2.
-    """
-    if eta.num.is_zero:
-        raise ValueError("the zero form has no divisor")
-    num = eta.num.to_float()
-    den = eta.den.to_float()
-    pairs: List[Tuple[Point, float]] = list(_polynomial_zeros(num))
-    pairs += [(z, -m) for z, m in _polynomial_zeros(den)]
-    ord_inf = den.degree - num.degree - 2
-    if ord_inf != 0:
-        pairs.append((INFINITY, ord_inf))
-    div = Divisor.from_pairs(pairs)
-    if div.degree != -2:
-        raise ValueError(f"divisor degree {div.degree} != -2: num and den share a root")
-    return div

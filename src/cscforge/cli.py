@@ -2,9 +2,8 @@
 
 Subcommands: inspect, phi, metric, angles, gauss-bonnet, classify, verify.
 Exit codes: 0 success, 1 parse error, 2 hypothesis failure, 3 geometry/grid
-error, no standard pattern (classify) or root-finding failure, 4
-verification failure.  Output is data (CSV/JSON) and byte-stable for a
-fixed invocation.
+error or no standard pattern (classify), 4 verification failure.  Output
+is data (CSV/JSON) and byte-stable for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .errors import (
     InvalidCaseData,
     PatternMismatch,
     ResidueMismatch,
-    RootFindingFailed,
     ZeroResidue,
 )
 from .forms import check_hypotheses, form_from_json
@@ -66,7 +64,6 @@ EXIT_VERIFY = 4
 _FAILURES = (
     ((HypothesesFailed, DuplicatePole, ZeroResidue), "hypothesis failure", EXIT_HYPOTHESES),
     ((InvalidCaseData, BadInitialValue), "parse error", EXIT_PARSE),
-    ((RootFindingFailed,), "root finding failed", EXIT_GEOMETRY),
     ((PatternMismatch, ResidueMismatch), "no standard pattern", EXIT_GEOMETRY),
     ((CscForgeError,), "geometry error", EXIT_GEOMETRY),
     ((FileNotFoundError, KeyError, TypeError, ValueError), "parse error", EXIT_PARSE),
@@ -270,10 +267,12 @@ def cmd_metric(args) -> int:
     h = float(args.h)
     pts = grid.points()
     touch = max(2.0 * h, 1e-6)
-    for p in exclusion_points(field):
-        if np.min(np.abs(pts - p)) < touch:
-            sys.stderr.write(f"grid touches the singular point {p!r}\n")
-            return EXIT_GEOMETRY
+    touched = [p for p in exclusion_points(field) if np.min(np.abs(pts - p)) < touch]
+    if touched:
+        plural = "s" if len(touched) > 1 else ""
+        names = ", ".join(repr(p) for p in touched)
+        sys.stderr.write(f"grid touches the singular point{plural} {names}\n")
+        return EXIT_GEOMETRY
     if field.K == -1:
         xvals = field.phi.offset_potential_many(pts)
         if np.min(np.abs(xvals)) < 1e-9 or np.max(xvals) > 0 > np.min(xvals):

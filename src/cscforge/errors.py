@@ -5,10 +5,6 @@ class CscForgeError(Exception):
     """Base class for every package-specific error."""
 
 
-class NotASimplePole(CscForgeError):
-    """The requested location is not a simple pole of the rational function."""
-
-
 class DuplicatePole(CscForgeError):
     """Two pole locations coincide."""
 
@@ -59,10 +55,6 @@ class NonConicalSingularityPresent(CscForgeError):
 
 class InvalidCaseData(CscForgeError):
     """Standard-form case parameters violate their constraints."""
-
-
-class RootFindingFailed(CscForgeError):
-    """A polynomial's degree is above the root finder's supported cap."""
 
 
 class NotMonomialIdentity(CscForgeError):

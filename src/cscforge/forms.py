@@ -6,9 +6,8 @@ of the construction (all poles simple including infinity, all residues real
 and nonzero) are statements about this data, which keeps their validation
 structural; so is the order at infinity, read from H and the residue
 moments.  Construction stores the data and nothing else, and the table
-of the form's zeros and poles comes from the same data.  ``eta`` with
-``omega = eta dz`` as a rational function is built on first use; its only
-reader in the package is the zero table of a form with a nonconstant H.
+of the form's zeros and poles comes from the same data: the zeros are the
+eigenvalues of one matrix built from the poles, the residues and H'.
 
 A nonconstant H makes infinity a pole of order at least 2, so every form
 that satisfies the hypotheses has dH = 0: evaluation covers the pole part
@@ -30,11 +29,10 @@ from .algebra import (
     ComplexPolynomial,
     Divisor,
     Point,
-    RationalFunction,
     _clustered_roots,
     _point_key,
-    _polynomial_zeros,
     _points_close,
+    residue_at_infinity,
 )
 from .errors import DuplicatePole, EvalAtPole, HypothesesFailed, ZeroResidue
 
@@ -127,7 +125,7 @@ class MeromorphicOneForm:
 
     def residue_at_infinity(self) -> complex:
         """Minus the sum of the finite residues (dH has no residue)."""
-        return -sum((lam for _, lam in self.poles), 0j)
+        return residue_at_infinity(lam for _, lam in self.poles)
 
     def infinity_pole_order(self) -> int:
         """Order of the pole of the form at infinity (<= 0 means no pole)."""
@@ -146,21 +144,6 @@ class MeromorphicOneForm:
         k = next((k for k, t in enumerate(terms) if abs(t.sum()) > 1e-12 * np.abs(t).sum()),
                  len(lam) - 1)
         return 1 - k
-
-    @cached_property
-    def eta(self) -> RationalFunction:
-        """Monomial numerator over the pole polynomial, coprime as the poles
-        are distinct with nonzero residues.  The numerator stops at degree
-        n + order - 2; above it is only rounding from cancelling moments."""
-        locs = [a for a, _ in self.poles]
-        den = ComplexPolynomial.from_roots(locs)
-        num = ComplexPolynomial.zero()
-        for i, (a, lam) in enumerate(self.poles):
-            num = num + ComplexPolynomial.from_roots(locs[:i] + locs[i + 1:], leading=lam)
-        if self.exact_part.degree > 0:
-            num = num + self.exact_part.derivative() * den
-        top = len(locs) + self._infinity_order - 2
-        return RationalFunction(ComplexPolynomial(num.coeffs[:top + 1]), den)
 
     def _zeros_from_poles(self) -> List[Tuple[complex, int]]:
         """Finite zeros from the pole data (dH = 0).  w = 1/(z - a_k) sends
@@ -196,13 +179,41 @@ class MeromorphicOneForm:
         return [(self._locs[k] + 1.0 / x, m)
                 for x, m in _clustered_roots(w, log_derivative, singular)]
 
+    def _zeros_with_exact_part(self) -> List[Tuple[complex, int]]:
+        """Finite zeros for a nonconstant H, with H' = sum_{j<=d} h_j z^j.
+        With y_i = lambda_i s/(z - a_i) and s_j = z^j s, the rows
+        z y_i = a_i y_i + lambda_i s_0, z s_j = s_{j+1} and
+        z s_{d-1} = -(sum y_i + sum_{j<d} h_j s_j)/h_d make the zeros of eta
+        the eigenvalues of the pole data's arrowhead bordered by the
+        companion block of H'; for d = 0 the matrix is diag(a) - lambda 1^T/h_0."""
+        lam = np.array([r for _, r in self.poles], dtype=complex)
+        h = self.exact_part.derivative().to_complex_array()
+        n, d = len(lam), len(h) - 1
+        m = np.zeros((n + d, n + d), dtype=complex)
+        m[range(n), range(n)] = self._locs
+        if d == 0:
+            m -= lam[:, None] / h[0]
+        else:
+            m[:n, n] = lam
+            m[range(n, n + d - 1), range(n + 1, n + d)] = 1.0
+            m[-1, :n], m[-1, n:] = -1.0 / h[d], -h[:d] / h[d]
+        rev = h[::-1]
+
+        def log_derivative(zs):
+            g, dg = np.polyval(rev, zs), np.polyval(np.polyder(rev), zs)
+            for a, r in self.poles:
+                t = r / (zs - a)
+                g, dg = g + t, dg - t / (zs - a)
+            return dg / g
+
+        return _clustered_roots(np.linalg.eigvals(m), log_derivative, self._locs)
+
     @cached_property
     def singular_points(self) -> Tuple[SingularPoint, ...]:
         """Every zero and pole of the form, infinity included, in divisor
         order.  Poles sit exactly at their given locations; the zeros come
-        from the pole data, or for a nonconstant H from the roots of eta's
-        numerator, which carries dH times the pole polynomial."""
-        zeros = (_polynomial_zeros(self.eta.num) if self.exact_part.degree > 0
+        from the pole data, with H' in the eigenproblem when H is nonconstant."""
+        zeros = (self._zeros_with_exact_part() if self.exact_part.degree > 0
                  else self._zeros_from_poles())
         table = [SingularPoint(z, m) for z, m in zeros]
         table += [SingularPoint(a, -1, lam) for a, lam in self.poles]

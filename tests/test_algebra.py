@@ -11,12 +11,8 @@ from cscforge import (
     ComplexPolynomial,
     Divisor,
     ExactComplex,
-    NotASimplePole,
-    RationalFunction,
-    one_form_divisor,
-    pole_order_at_infinity,
+    build_third_kind,
     residue_at_infinity,
-    residue_at_simple_pole,
 )
 
 from oracles import contour_residue
@@ -72,75 +68,57 @@ class TestPolynomialArithmetic:
         p = ComplexPolynomial.from_roots([1j, -1j])
         assert np.allclose(p.to_complex_array(), [1, 0, 1])
         assert abs(p(2.0) - 5.0) < 1e-14
-        vals = p.eval_many(np.array([0j, 1j, 2.0]))
-        assert np.allclose(vals, [1, 0, 5])
+        assert np.allclose(sorted(p.roots(), key=lambda z: z.imag), [-1j, 1j])
 
 
 class TestResidues:
+    """The table keeps each pole's given residue; the contour integral of
+    the evaluated form agrees with it."""
+
     def test_defining_case(self):
-        r = RationalFunction([1.0], [0.0, 1.0])  # 1/z
-        assert abs(residue_at_simple_pole(r, 0j) - 1.0) < 1e-14
+        form = build_third_kind([(0j, 1.0)])  # 1/z
+        assert form.singular_point_at(0j).residue == 1.0
+        assert abs(contour_residue(form.eta_at, 0j) - 1.0) < 1e-12
 
     def test_unit_residue_pole(self):
-        r = RationalFunction([0.0, 2.0], [1.0, 0.0, 1.0])  # 2z/(z^2+1)
-        assert abs(residue_at_simple_pole(r, 1j) - 1.0) < 1e-12
-        oracle = contour_residue(lambda z: r(z), 1j)
-        assert abs(residue_at_simple_pole(r, 1j) - oracle) < 1e-8
+        form = build_third_kind([(1j, 1.0), (-1j, 1.0)])  # 2z/(z^2+1)
+        assert form.singular_point_at(1j).residue == 1.0
+        assert abs(contour_residue(form.eta_at, 1j) - 1.0) < 1e-8
 
     def test_negative_residue_with_contour_oracle(self):
         # 2 (2-1) z / ((z^2+2)(z^2+1)) has residue -1 at i sqrt(2)
-        den = ComplexPolynomial([2.0, 0, 3.0, 0, 1.0])
-        r = RationalFunction(ComplexPolynomial([0.0, 2.0]), den)
         a = 1j * cmath.sqrt(2)
-        val = residue_at_simple_pole(r, a)
-        assert abs(val - (-1.0)) < 1e-12
-        oracle = contour_residue(lambda z: r(z), a)
-        assert abs(val - oracle) < 1e-8
-
-    def test_exact_path(self):
-        r = RationalFunction(
-            ComplexPolynomial([ExactComplex(0), ExactComplex(2)]),
-            ComplexPolynomial([ExactComplex(1), ExactComplex(0), ExactComplex(1)]),
-        )
-        val = residue_at_simple_pole(r, ExactComplex(0, 1))
-        assert val == ExactComplex(1)
+        form = build_third_kind([(1j, 1.0), (-1j, 1.0), (a, -1.0), (-a, -1.0)])
+        assert form.singular_point_at(a).residue == -1.0
+        assert abs(contour_residue(form.eta_at, a) - (-1.0)) < 1e-8
 
     def test_not_a_pole(self):
-        r = RationalFunction([1.0], [0.0, 1.0])
-        with pytest.raises(NotASimplePole):
-            residue_at_simple_pole(r, 1.0 + 0j)
-
-    def test_double_pole_rejected(self):
-        r = RationalFunction([1.0], [0.0, 0.0, 1.0])  # 1/z^2
-        with pytest.raises(NotASimplePole):
-            residue_at_simple_pole(r, 0j)
+        form = build_third_kind([(0j, 1.0)])
+        assert form.singular_point_at(1.0 + 0j) is None
 
 
 class TestResidueAtInfinity:
     def test_simple(self):
-        r = RationalFunction([3.0], [0.0, 1.0])  # 3/z
-        assert abs(residue_at_infinity(r) - (-3.0)) < 1e-14
-        assert pole_order_at_infinity(r) == 1
+        assert residue_at_infinity([3.0]) == -3.0
+        form = build_third_kind([(0j, 3.0)])  # 3/z
+        assert form.residue_at_infinity() == -3.0
+        assert form.infinity_pole_order() == 1
 
     def test_residue_theorem(self):
-        r = RationalFunction([0.0, 2.0], [1.0, 0.0, 1.0])
-        assert abs(residue_at_infinity(r) - (-2.0)) < 1e-14
+        form = build_third_kind([(1j, 1.0), (-1j, 1.0)])
+        assert form.residue_at_infinity() == -2.0
+        assert form.singular_point_at(INFINITY).residue == -2.0
 
     def test_vanishing(self):
-        r = RationalFunction([0.0, 2.0], [2.0, 0.0, 3.0, 0.0, 1.0])
-        assert abs(residue_at_infinity(r)) < 1e-14
+        a = 1j * cmath.sqrt(2)
+        form = build_third_kind([(1j, 1.0), (-1j, 1.0), (a, -1.0), (-a, -1.0)])
+        assert form.residue_at_infinity() == 0
+        assert form.infinity_pole_order() <= 0
 
     def test_double_pole_of_dz(self):
-        r = RationalFunction([1.0], [1.0])  # constant form dz
-        assert pole_order_at_infinity(r) == 2
-        assert abs(residue_at_infinity(r)) == 0.0
-
-    def test_exact(self):
-        r = RationalFunction(
-            ComplexPolynomial([ExactComplex(3)]),
-            ComplexPolynomial([ExactComplex(0), ExactComplex(1)]),
-        )
-        assert residue_at_infinity(r) == ExactComplex(-3)
+        form = build_third_kind([], ComplexPolynomial([0.0, 1.0]))  # dz
+        assert form.infinity_pole_order() == 2
+        assert form.residue_at_infinity() == 0
 
 
 class TestDivisor:
@@ -164,34 +142,32 @@ class TestDivisor:
 
 class TestOneFormDivisor:
     def test_single_pole(self):
-        r = RationalFunction([3.0], [0.0, 1.0])
-        d = one_form_divisor(r)
+        d = build_third_kind([(0j, 3.0)]).divisor()
         assert d.weight_at(0j) == -1
         assert d.weight_at(INFINITY) == -1
         assert d.degree == -2
 
     def test_zero_and_poles(self):
-        r = RationalFunction([0.0, 2.0], [1.0, 0.0, 1.0])
-        d = one_form_divisor(r)
+        d = build_third_kind([(1j, 1.0), (-1j, 1.0)]).divisor()
         assert d.weight_at(0j) == 1
         assert d.weight_at(1j) == -1
         assert d.weight_at(-1j) == -1
         assert d.weight_at(INFINITY) == -1
 
     def test_constant_form(self):
-        r = RationalFunction([1.0], [1.0])
-        d = one_form_divisor(r)
+        d = build_third_kind([], ComplexPolynomial([0.0, 1.0])).divisor()
         assert d.weight_at(INFINITY) == -2
         assert len(d) == 1
 
     def test_multiple_zero_confirmed_by_contour(self):
-        # eta = 3 z^2 / (z^3 + 1): order-2 zero at 0 despite float jitter
-        den = ComplexPolynomial.from_roots(
-            [cmath.exp(1j * cmath.pi * (2 * k + 1) / 3) for k in range(3)]
-        )
-        r = RationalFunction(ComplexPolynomial([0, 0, 3.0]), den)
-        d = one_form_divisor(r)
-        assert d.weight_at(0j) == 2
+        # 3 z^2 / (z^3 + 1) from its poles, and z^2 dz from H = z^3/3 alone:
+        # an order-2 zero at 0 despite float jitter
+        poles = [(cmath.exp(1j * cmath.pi * (2 * k + 1) / 3), 1.0) for k in range(3)]
+        for form in (build_third_kind(poles),
+                     build_third_kind([], ComplexPolynomial([0.0, 0.0, 0.0, 1.0 / 3.0]))):
+            d = form.divisor()
+            assert d.weight_at(0j) == 2
+            assert d.degree == -2
 
 
 class TestFormInvariants:

@@ -48,17 +48,18 @@ class TestInspect:
         assert code == 2
         assert json.loads(out)["is_third_kind"] is False
 
-    def test_root_finding_cap_is_not_a_parse_error(self, capsys):
-        # 16 poles and H = z^2: eta's numerator has degree 17, above the
-        # root-finding cap, which only forms with a nonconstant H reach
+    def test_exact_part_above_sixteen_poles(self, capsys):
+        # 16 poles and H = z^2: 17 zeros, one more than the monomial root
+        # finder that used to serve nonconstant H could take
         angles = [2 * math.pi * k / 16 for k in range(16)]
         poles = [{"a": [1.5 * math.cos(t), 1.5 * math.sin(t)], "lambda": [1.0 + t, 0.0]}
                  for t in angles]
         form = {"poles": poles, "exact_part": [[0, 0], [0, 0], [1, 0]]}
-        code, _, err = run(capsys, ["inspect", "--form", json.dumps(form)])
-        assert code == 3
-        assert err.startswith("root finding failed:")
-        assert "degree 16" in err
+        code, out, _ = run(capsys, ["inspect", "--form", json.dumps(form)])
+        assert code == 2
+        weights = [e["weight"] for e in json.loads(out)["divisor"]]
+        assert sum(weights) == -2
+        assert sum(w for w in weights if w > 0) == 17
 
     def test_many_poles_inspect(self, capsys):
         # 24 poles: the zeros come from the pole data, with no degree cap
@@ -152,6 +153,18 @@ class TestMetric:
             ],
         )
         assert code == 3
+
+    def test_grid_touching_two_points_names_both(self, capsys):
+        # the grid passes within rounding of the pole at -1 and the order-2
+        # zero at 0; both are named, in table order
+        code, _, err = run(
+            capsys,
+            ["metric", "--standard", "unit:alpha=3", "--K", "1", "--grid=0,0,1.5,31"],
+        )
+        assert code == 3
+        assert err.startswith("grid touches the singular points (-1")
+        assert err.count("j)") == 2
+        assert err.endswith("\n") and err.count("\n") == 1
 
     def test_hyperbolic_locus_crossing(self, capsys):
         # |z| = 1 is the degeneracy circle for lambda/z with a0 = 0

@@ -49,16 +49,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_third_kind([], ComplexPolynomial([5.0]))
 
-    def test_eta_consistency(self, random_forms):
-        rng = np.random.default_rng(12)
-        for form in random_forms:
-            for _ in range(5):
-                z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                if form.min_pole_distance(z) < 0.2:
-                    continue
-                direct = sum(lam / (z - a) for a, lam in form.poles)
-                assert abs(form.eta.__call__(z) - direct) <= 1e-10 * (1 + abs(direct))
-
 
 class TestHypotheses:
     def test_real_single_pole(self):

@@ -16,11 +16,9 @@ from cscforge import (
     ComplexPolynomial,
     Divisor,
     HypothesesFailed,
-    MeromorphicOneForm,
     StandardFormCase,
     build_third_kind,
     check_hypotheses,
-    classify,
     classify_singular_points,
     cli,
     integrate_phi_along_path,
@@ -159,32 +157,27 @@ def test_nearly_cancelling_residues_keep_the_pole_at_infinity(seed, n_poles, log
 
 
 def test_evaluation_builds_no_polynomials(monkeypatch):
-    """No form that satisfies the hypotheses expands eta: not the input
-    through the hypothesis check, the closed form, the RK4 oracle, the
-    negation check (whose zero table comes from the pole data) and
-    normalization, nor the negated forms and standard representatives they
-    build."""
-    built = []
+    """No zero table expands a polynomial or calls a polynomial root finder:
+    not for a form that satisfies the hypotheses, through the hypothesis
+    check, the closed form, the RK4 oracle, the negation check and
+    normalization (with the negated forms and standard representatives they
+    build), nor for a form with a nonconstant H."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was expanded or its roots taken")
 
-    def recording(make):
-        def wrapper(*args):
-            built.append(make(*args))
-            return built[-1]
-        return wrapper
-
-    monkeypatch.setattr(MeromorphicOneForm, "negated", recording(MeromorphicOneForm.negated))
-    monkeypatch.setattr(classify, "standard_form", recording(classify.standard_form))
+    monkeypatch.setattr(ComplexPolynomial, "from_roots", refuse)
+    monkeypatch.setattr(ComplexPolynomial, "roots", refuse)
     p = 1.3 * np.exp(0.4j)  # unit:alpha=3 moved by z = p w
     form = build_third_kind([(p * np.exp(1j * math.pi * (2 * k + 1) / 3), 1.0)
                              for k in range(3)])
     assert check_hypotheses(form).ok
     field = solve_phi_closed(form)
     integrate_phi_along_path(form, [field.p0, field.p0 + 0.3j], 2.0)
-    assert "eta" not in form.__dict__
+    assert form.divisor().weight_at(0j) == 2
     negation_invariance_check(form)
     normalize_form(form)
-    assert len(built) == 2
-    assert all("eta" not in f.__dict__ for f in [form] + built)
+    exact = random_form(7, 6, exact_part=ComplexPolynomial([0.0, 0.0, 1.0]))
+    assert sum(w for _, w in exact.divisor() if w > 0) == 7
 
 
 @pytest.mark.parametrize("n_poles", [2, 5, 9])
@@ -201,3 +194,29 @@ def test_exact_part_is_inspect_only(n_poles, h_degree):
         potential_f(form, start)
     with pytest.raises(HypothesesFailed):
         integrate_phi_along_path(form, [start, start + 0.5], 2.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_poles=st.integers(0, 40),
+    h_degree=st.integers(1, 3),
+    h_scale=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_exact_part_zeros(seed, n_poles, h_degree, h_scale):
+    """A nonconstant H: the zeros are the eigenvalues of the pole data's
+    arrowhead bordered by H''s companion block, n + deg H - 1 of them, and
+    eta = sum lambda_i/(z - a_i) + H' vanishes at each to rounding."""
+    rng = np.random.default_rng(seed)
+    h = (rng.normal(size=h_degree + 1) + 1j * rng.normal(size=h_degree + 1)) * 10.0**h_scale
+    form = random_form(seed, n_poles, exact_part=ComplexPolynomial(h))
+    div = form.divisor()
+    assert div.degree == -2
+    assert sum(w for p, w in div if w > 0) == n_poles + h_degree - 1
+    assert div.weight_at(INFINITY) == -(h_degree + 1)
+    dh = np.polynomial.polynomial.polyder(h)
+    for z, w in div:
+        if w > 0:
+            terms = np.append([lam / (z - a) for a, lam in form.poles],
+                              dh * z ** np.arange(h_degree))
+            assert abs(terms.sum()) <= 1e-10 * np.abs(terms).sum()
