@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .algebra import (
     INFINITY,
     ComplexPolynomial,
-    Divisor,
     ExactComplex,
     is_infinity,
     residue_at_infinity,
@@ -51,6 +50,7 @@ from .errors import (
     StepUnderflow,
     ZeroMu,
     ZeroResidue,
+    ZeroTableFailed,
 )
 from .forms import (
     ExactnessReport,
@@ -58,7 +58,6 @@ from .forms import (
     SingularPoint,
     build_third_kind,
     check_hypotheses,
-    divisor_of_form,
     form_from_json,
     form_to_json,
     potential_f,
@@ -90,7 +89,6 @@ from .singularities import (
     estimate_cone_angle,
     exclusion_points,
     gauss_bonnet_check,
-    predicted_divisor,
     singular_point_info,
     total_metric_area,
 )

@@ -1,4 +1,4 @@
-"""Points, polynomials and divisors on the Riemann sphere.
+"""Points and polynomials on the Riemann sphere.
 
 Two coefficient regimes live side by side in :class:`ComplexPolynomial`:
 
@@ -10,13 +10,13 @@ Two coefficient regimes live side by side in :class:`ComplexPolynomial`:
 The point at infinity is a distinguished value (:data:`INFINITY`), never a
 large coordinate.  A form's zeros come from eigenproblems on its pole data
 (see :mod:`cscforge.forms`); this module gathers the eigenvalues into zeros
-with numerical multiplicities, and holds the divisor they are reported in.
+with numerical multiplicities.  The form's table of its zeros and poles is
+its divisor; :func:`_point_key` is the order that table is kept in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -28,7 +28,6 @@ __all__ = [
     "is_infinity",
     "ExactComplex",
     "ComplexPolynomial",
-    "Divisor",
     "residue_at_infinity",
 ]
 
@@ -57,6 +56,19 @@ def is_infinity(p) -> bool:
     return isinstance(p, _PointAtInfinity)
 
 
+def _point_key(p: Point):
+    if is_infinity(p):
+        return (1, 0.0, 0.0)
+    return (0, complex(p).real, complex(p).imag)
+
+
+def _points_close(p: Point, q: Point, tol: float) -> bool:
+    if is_infinity(p) or is_infinity(q):
+        return is_infinity(p) and is_infinity(q)
+    p, q = complex(p), complex(q)
+    return abs(p - q) <= tol * max(1.0, abs(p), abs(q))
+
+
 class ExactComplex:
     """Complex number with exact rational real and imaginary parts."""
 
@@ -82,9 +94,6 @@ class ExactComplex:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
 
     def __add__(self, other):
         try:
@@ -206,40 +215,12 @@ class ComplexPolynomial:
         return cls((), exact=exact)
 
     @classmethod
-    def one(cls, exact: bool = False) -> "ComplexPolynomial":
-        return cls((1,) if exact else (1.0,), exact=exact)
-
-    @classmethod
     def monomial(cls, degree: int, coefficient=1.0) -> "ComplexPolynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
         exact = _is_exact_scalar(coefficient)
         zero = ExactComplex(0) if exact else 0.0
         return cls([zero] * degree + [coefficient], exact=exact)
-
-    @classmethod
-    def from_roots(cls, roots: Iterable, leading=1.0) -> "ComplexPolynomial":
-        roots = list(roots)
-        exact = _is_exact_scalar(leading) and all(_is_exact_scalar(r) for r in roots)
-        if exact:
-            coeffs: List = [ExactComplex.coerce(leading)]
-            for r in roots:
-                r = ExactComplex.coerce(r)
-                nxt = [ExactComplex(0)] * (len(coeffs) + 1)
-                for i, c in enumerate(coeffs):
-                    nxt[i] = nxt[i] - r * c
-                    nxt[i + 1] = nxt[i + 1] + c
-                coeffs = nxt
-        else:
-            coeffs = [complex(leading)]
-            for r in roots:
-                r = complex(r)
-                nxt = [0j] * (len(coeffs) + 1)
-                for i, c in enumerate(coeffs):
-                    nxt[i] -= r * c
-                    nxt[i + 1] += c
-                coeffs = nxt
-        return cls(coeffs, exact=exact)
 
     # -- structure ---------------------------------------------------------
 
@@ -428,79 +409,3 @@ def residue_at_infinity(residues: Iterable[complex]) -> complex:
     residues: by the residue theorem, minus their sum (dH has no residue)."""
     return -sum(residues, 0j)
 
-
-# ---------------------------------------------------------------------------
-# Divisors
-# ---------------------------------------------------------------------------
-
-
-def _point_key(p: Point):
-    if is_infinity(p):
-        return (1, 0.0, 0.0)
-    return (0, complex(p).real, complex(p).imag)
-
-
-def _points_close(p: Point, q: Point, tol: float) -> bool:
-    if is_infinity(p) or is_infinity(q):
-        return is_infinity(p) and is_infinity(q)
-    p, q = complex(p), complex(q)
-    return abs(p - q) <= tol * max(1.0, abs(p), abs(q))
-
-
-@dataclass(frozen=True)
-class Divisor:
-    """Formal sum of points of the sphere with real weights.
-
-    Locations are pairwise distinct; the degree is the sum of weights.
-    The point at infinity is the :data:`INFINITY` sentinel.
-    """
-
-    points: Tuple[Tuple[Point, float], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[Point, float]]) -> "Divisor":
-        kept = [(p, w) for p, w in pairs if w != 0]
-        for i, (p, _) in enumerate(kept):
-            for q, _ in kept[i + 1:]:
-                if _points_close(p, q, 1e-12):
-                    raise ValueError(f"duplicate divisor location {p!r}")
-        kept.sort(key=lambda pw: _point_key(pw[0]))
-        return cls(tuple(kept))
-
-    @property
-    def degree(self):
-        return sum(w for _, w in self.points)
-
-    def weight_at(self, location: Point, tol: float = 1e-9):
-        for p, w in self.points:
-            if _points_close(p, location, tol):
-                return w
-        return 0
-
-    def matches(self, other: "Divisor", loc_tol: float = 1e-9,
-                weight_tol: float = 1e-9) -> bool:
-        if len(self.points) != len(other.points):
-            return False
-        used = [False] * len(other.points)
-        for p, w in self.points:
-            hit = False
-            for j, (q, v) in enumerate(other.points):
-                if used[j]:
-                    continue
-                if _points_close(p, q, loc_tol) and abs(float(w) - float(v)) <= weight_tol:
-                    used[j] = True
-                    hit = True
-                    break
-            if not hit:
-                return False
-        return True
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"{w}*({p!r})" for p, w in self.points)
-        return f"Divisor({inner or '0'})"

@@ -186,8 +186,9 @@ def _canonical_scale(p_alpha: complex, alpha: int) -> complex:
 
 
 def _constant_term(roots: List[complex]) -> complex:
-    """Constant term of the monic polynomial with these roots, by the same
-    recurrence as :meth:`ComplexPolynomial.from_roots`."""
+    """Constant term of the monic polynomial with these roots, (-1)^n times
+    their product, taken in the given order as c <- 0 - r c from c = 1 (the
+    constant term of multiplying out (z - r) one root at a time)."""
     c = 1.0 + 0j
     for r in roots:
         c = 0j - r * c

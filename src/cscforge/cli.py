@@ -2,7 +2,8 @@
 
 Subcommands: inspect, phi, metric, angles, gauss-bonnet, classify, verify.
 Exit codes: 0 success, 1 parse error, 2 hypothesis failure, 3 geometry/grid
-error or no standard pattern (classify), 4 verification failure.  Output
+error, no standard pattern (classify) or zeros not resolved in floating
+point, 4 verification failure.  Output
 is data (CSV/JSON) and byte-stable for a fixed invocation.
 """
 
@@ -36,6 +37,7 @@ from .errors import (
     PatternMismatch,
     ResidueMismatch,
     ZeroResidue,
+    ZeroTableFailed,
 )
 from .forms import check_hypotheses, form_from_json
 from .metric import (
@@ -65,6 +67,7 @@ _FAILURES = (
     ((HypothesesFailed, DuplicatePole, ZeroResidue), "hypothesis failure", EXIT_HYPOTHESES),
     ((InvalidCaseData, BadInitialValue), "parse error", EXIT_PARSE),
     ((PatternMismatch, ResidueMismatch), "no standard pattern", EXIT_GEOMETRY),
+    ((ZeroTableFailed,), "zero table failed", EXIT_GEOMETRY),
     ((CscForgeError,), "geometry error", EXIT_GEOMETRY),
     ((FileNotFoundError, KeyError, TypeError, ValueError), "parse error", EXIT_PARSE),
 )

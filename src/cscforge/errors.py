@@ -21,6 +21,11 @@ class HypothesesFailed(CscForgeError):
     """The form is not third-kind with real nonzero residues."""
 
 
+class ZeroTableFailed(CscForgeError):
+    """The zeros of a form are not resolved in floating point: their
+    eigenproblem is not finite, or a zero lands on another singular point."""
+
+
 class BadInitialValue(CscForgeError):
     """Initial value outside the open interval (0, 4)."""
 

@@ -11,7 +11,7 @@ eigenvalues of one matrix built from the poles, the residues and H'.
 
 A nonconstant H makes infinity a pole of order at least 2, so every form
 that satisfies the hypotheses has dH = 0: evaluation covers the pole part
-only, and H lives on in the schema, the hypothesis check and the divisor.
+only, and H lives on in the schema, the hypothesis check and the table.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ import numpy as np
 from .algebra import (
     INFINITY,
     ComplexPolynomial,
-    Divisor,
     Point,
     _clustered_roots,
     _point_key,
     _points_close,
+    is_infinity,
     residue_at_infinity,
 )
-from .errors import DuplicatePole, EvalAtPole, HypothesesFailed, ZeroResidue
+from .errors import DuplicatePole, EvalAtPole, HypothesesFailed, ZeroResidue, ZeroTableFailed
 
 __all__ = [
     "MeromorphicOneForm",
@@ -43,7 +43,6 @@ __all__ = [
     "build_third_kind",
     "check_hypotheses",
     "potential_f",
-    "divisor_of_form",
     "form_to_json",
     "form_from_json",
 ]
@@ -185,18 +184,24 @@ class MeromorphicOneForm:
         z y_i = a_i y_i + lambda_i s_0, z s_j = s_{j+1} and
         z s_{d-1} = -(sum y_i + sum_{j<d} h_j s_j)/h_d make the zeros of eta
         the eigenvalues of the pole data's arrowhead bordered by the
-        companion block of H'; for d = 0 the matrix is diag(a) - lambda 1^T/h_0."""
+        companion block of H'; for d = 0 the matrix is diag(a) - lambda 1^T/h_0.
+        A matrix that overflows (h_d near the underflow threshold) raises
+        :class:`ZeroTableFailed`."""
         lam = np.array([r for _, r in self.poles], dtype=complex)
         h = self.exact_part.derivative().to_complex_array()
         n, d = len(lam), len(h) - 1
         m = np.zeros((n + d, n + d), dtype=complex)
         m[range(n), range(n)] = self._locs
-        if d == 0:
-            m -= lam[:, None] / h[0]
-        else:
-            m[:n, n] = lam
-            m[range(n, n + d - 1), range(n + 1, n + d)] = 1.0
-            m[-1, :n], m[-1, n:] = -1.0 / h[d], -h[:d] / h[d]
+        with np.errstate(all="ignore"):
+            if d == 0:
+                m -= lam[:, None] / h[0]
+            else:
+                m[:n, n] = lam
+                m[range(n, n + d - 1), range(n + 1, n + d)] = 1.0
+                m[-1, :n], m[-1, n:] = -1.0 / h[d], -h[:d] / h[d]
+        if not np.isfinite(m).all():
+            raise ZeroTableFailed(f"the eigenproblem is not finite: H' has top coefficient "
+                                  f"{complex(h[d])!r}")
         rev = h[::-1]
 
         def log_derivative(zs):
@@ -210,9 +215,12 @@ class MeromorphicOneForm:
 
     @cached_property
     def singular_points(self) -> Tuple[SingularPoint, ...]:
-        """Every zero and pole of the form, infinity included, in divisor
-        order.  Poles sit exactly at their given locations; the zeros come
-        from the pole data, with H' in the eigenproblem when H is nonconstant."""
+        """The divisor of the form: every zero and pole, infinity included,
+        sorted by location, none of weight 0.  Poles sit exactly at their
+        given locations; the zeros come from the pole data, with H' in the
+        eigenproblem when H is nonconstant.  Two entries within 1e-12
+        relative of each other (a zero the eigensolver put on a pole or on
+        another zero) raise :class:`ZeroTableFailed`."""
         zeros = (self._zeros_with_exact_part() if self.exact_part.degree > 0
                  else self._zeros_from_poles())
         table = [SingularPoint(z, m) for z, m in zeros]
@@ -222,7 +230,15 @@ class MeromorphicOneForm:
             table.append(SingularPoint(INFINITY, -order, self.residue_at_infinity()))
         elif order < 0:
             table.append(SingularPoint(INFINITY, -order))
-        return tuple(sorted(table, key=lambda p: _point_key(p.location)))
+        table.sort(key=lambda p: _point_key(p.location))
+        z = np.array([p.location for p in table if not is_infinity(p.location)], dtype=complex)
+        size = np.maximum(1.0, np.abs(z))
+        clash = np.abs(z[:, None] - z) <= 1e-12 * np.maximum.outer(size, size)
+        i, j = np.nonzero(np.triu(clash, 1))
+        if len(i):
+            raise ZeroTableFailed(f"singular points {complex(z[i[0]])!r} and "
+                                  f"{complex(z[j[0]])!r} coincide to 1e-12")
+        return tuple(table)
 
     def singular_point_at(self, point: Point) -> Optional[SingularPoint]:
         """The table entry at ``point`` (to 1e-9 relative), None elsewhere."""
@@ -231,8 +247,8 @@ class MeromorphicOneForm:
                 return p
         return None
 
-    def divisor(self) -> Divisor:
-        return Divisor.from_pairs((p.location, p.weight) for p in self.singular_points)
+    def divisor(self) -> Tuple[Tuple[Point, int], ...]:
+        return tuple((p.location, p.weight) for p in self.singular_points)
 
     def negated(self) -> "MeromorphicOneForm":
         return build_third_kind(
@@ -333,11 +349,6 @@ def potential_f(form: MeromorphicOneForm, z: complex) -> float:
     """The real potential at ``z``; requires the hypotheses to hold."""
     require_hypotheses(form)
     return form.potential(z)
-
-
-def divisor_of_form(form: MeromorphicOneForm) -> Divisor:
-    """Full zero/pole divisor of the form on the sphere, infinity included."""
-    return form.divisor()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Divisor, Point, _points_close, is_infinity
+from .algebra import Point, _points_close, is_infinity
 from .errors import AnnulusContainsSingularity, NonConicalSingularityPresent
 from .forms import MeromorphicOneForm, SingularPoint, require_hypotheses
 
@@ -44,7 +44,6 @@ __all__ = [
     "AreaEstimate",
     "singular_point_info",
     "classify_singular_points",
-    "predicted_divisor",
     "exclusion_points",
     "admissible_mask",
     "estimate_cone_angle",
@@ -159,17 +158,6 @@ def classify_singular_points(
     return [singular_point_info(p, K) for p in form.singular_points]
 
 
-def predicted_divisor(form: MeromorphicOneForm, K: int) -> Divisor:
-    """Divisor represented by the metric: weight ``order`` at zeros and
-    ``|residue| - 1`` at poles, smooth points omitted, K = 0 negative-residue
-    poles excluded (they are not conical)."""
-    pairs = []
-    for info in classify_singular_points(form, K):
-        if info.divisor_weight != 0.0 and info.conical_expected:
-            pairs.append((info.location, info.divisor_weight))
-    return Divisor.from_pairs(pairs)
-
-
 def exclusion_points(field: DensityField) -> Tuple[complex, ...]:
     """The finite locations of the field's singular-point table."""
     return tuple(complex(i.location) for i in field.singular_points
@@ -197,19 +185,6 @@ def _ring(n_theta: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
 
 
-def _chart_exclusions(field: DensityField, point: Point) -> Tuple[complex, List[complex]]:
-    """Map the field's exclusion points into the fitting chart; the chart
-    center represents ``point`` itself."""
-    exclusions = exclusion_points(field)
-    if is_infinity(point):
-        center = 0j
-        others = [1.0 / p for p in exclusions if abs(p) > 0]
-    else:
-        center = complex(point)
-        others = [p for p in exclusions if abs(p - center) > 1e-9]
-    return center, others
-
-
 def estimate_cone_angle(
     field: DensityField,
     point: Point,
@@ -235,8 +210,17 @@ def estimate_cone_angle(
     if radii.size < 2 or radii[0] <= 0:
         raise ValueError("need at least two positive radii")
     rmax = float(radii[-1])
-    center, others = _chart_exclusions(field, point)
-    chart = "w" if is_infinity(point) else "z"
+    # the point's own table entry (1e-9 relative), if any; every other finite
+    # entry, mapped into the fitting chart, must clear the annulus
+    table = field.singular_points
+    entry = next((i for i in table if _points_close(i.location, point, 1e-9)), None)
+    others = [complex(i.location) for i in table
+              if i is not entry and not is_infinity(i.location)]
+    if is_infinity(point):
+        center, chart = 0j, "w"
+        others = [1.0 / q for q in others if abs(q) > 0]
+    else:
+        center, chart = complex(point), "z"
     for q in others:
         if abs(q - center) <= 2.0 * rmax:
             raise AnnulusContainsSingularity(
@@ -266,8 +250,7 @@ def estimate_cone_angle(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-24 else 0.0
     fitted = TWO_PI * (slope + 1.0)
     # 2 pi at regular points, None where the table asserts no angle
-    predicted = next((i.predicted_angle for i in field.singular_points
-                      if _points_close(i.location, point, 1e-9)), TWO_PI)
+    predicted = TWO_PI if entry is None else entry.predicted_angle
     conical = (
         r2 >= 0.999
         and fitted > 0.0

