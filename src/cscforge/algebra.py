@@ -1,11 +1,9 @@
 """Points and polynomials on the Riemann sphere.
 
-Two coefficient regimes live side by side in :class:`ComplexPolynomial`:
-
-* exact Gaussian rationals (:class:`ExactComplex`, backed by
-  :class:`fractions.Fraction`) for identity work where coefficients must
-  vanish exactly (the Wronskian identity of the classifier), and
-* double-precision complex for a form's exact part H.
+:class:`ComplexPolynomial` has exact Gaussian-rational coefficients
+(:class:`ExactComplex`, backed by :class:`fractions.Fraction`), for identity
+work where coefficients must vanish exactly (the Wronskian identity of the
+classifier).  A form's exact part H is its tuple of complex coefficients.
 
 The point at infinity is a distinguished value (:data:`INFINITY`), never a
 large coordinate.  A form's zeros come from eigenproblems on its pole data
@@ -175,35 +173,22 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im})"
 
 
-def _is_exact_scalar(c) -> bool:
-    return isinstance(c, (int, Fraction, ExactComplex)) and not isinstance(c, bool)
-
-
 class ComplexPolynomial:
-    """Dense univariate polynomial, coefficients stored in ascending degree.
+    """Dense univariate polynomial with exact coefficients, stored in
+    ascending degree.
 
-    The coefficient regime is inferred at construction: if every coefficient
-    is an int, Fraction or :class:`ExactComplex` the polynomial is exact,
-    otherwise everything is coerced to ``complex``.  The zero polynomial has
-    ``degree == -1`` and ``is_zero`` set.
+    Every coefficient is coerced to :class:`ExactComplex`, so a float
+    raises ``TypeError``.  The zero polynomial has ``degree == -1`` and
+    ``is_zero`` set.
     """
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence = (), exact: bool | None = None):
-        items = list(coeffs)
-        if exact is None:
-            exact = bool(items) and all(_is_exact_scalar(c) for c in items)
-        if exact:
-            cs = [ExactComplex.coerce(c) for c in items]
-            while cs and cs[-1].is_zero:
-                cs.pop()
-        else:
-            cs = [complex(c) for c in items]
-            while cs and cs[-1] == 0:
-                cs.pop()
+    def __init__(self, coeffs: Sequence = ()):
+        cs = [ExactComplex.coerce(c) for c in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "exact", bool(exact))
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexPolynomial is immutable")
@@ -211,16 +196,10 @@ class ComplexPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, exact: bool = False) -> "ComplexPolynomial":
-        return cls((), exact=exact)
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient=1.0) -> "ComplexPolynomial":
+    def monomial(cls, degree: int, coefficient=1) -> "ComplexPolynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        exact = _is_exact_scalar(coefficient)
-        zero = ExactComplex(0) if exact else 0.0
-        return cls([zero] * degree + [coefficient], exact=exact)
+        return cls([0] * degree + [coefficient])
 
     # -- structure ---------------------------------------------------------
 
@@ -239,38 +218,24 @@ class ComplexPolynomial:
             return None
         return self.coeffs[-1]
 
-    def constant_term(self):
+    def constant_term(self) -> ExactComplex:
         if self.is_zero:
-            return ExactComplex(0) if self.exact else 0j
+            return ExactComplex(0)
         return self.coeffs[0]
 
-    def to_float(self) -> "ComplexPolynomial":
-        if not self.exact:
-            return self
-        return ComplexPolynomial([complex(c) for c in self.coeffs], exact=False)
-
-    def to_complex_array(self) -> np.ndarray:
-        return np.array([complex(c) for c in self.coeffs], dtype=complex)
-
     # -- arithmetic --------------------------------------------------------
-
-    def _pair(self, other: "ComplexPolynomial"):
-        if self.exact == other.exact:
-            return self, other
-        return self.to_float(), other.to_float()
 
     def __add__(self, other):
         if not isinstance(other, ComplexPolynomial):
             return NotImplemented
-        a, b = self._pair(other)
-        n = max(len(a.coeffs), len(b.coeffs))
-        zero = ExactComplex(0) if a.exact else 0j
+        n = max(len(self.coeffs), len(other.coeffs))
+        zero = ExactComplex(0)
         out = []
         for i in range(n):
-            ca = a.coeffs[i] if i < len(a.coeffs) else zero
-            cb = b.coeffs[i] if i < len(b.coeffs) else zero
+            ca = self.coeffs[i] if i < len(self.coeffs) else zero
+            cb = other.coeffs[i] if i < len(other.coeffs) else zero
             out.append(ca + cb)
-        return ComplexPolynomial(out, exact=a.exact)
+        return ComplexPolynomial(out)
 
     def __sub__(self, other):
         if not isinstance(other, ComplexPolynomial):
@@ -278,64 +243,46 @@ class ComplexPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return ComplexPolynomial([-c for c in self.coeffs], exact=self.exact)
+        return ComplexPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, ComplexPolynomial):
             return NotImplemented
-        a, b = self._pair(other)
-        if a.is_zero or b.is_zero:
-            return ComplexPolynomial.zero(exact=a.exact)
-        zero = ExactComplex(0) if a.exact else 0j
-        out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            for j, cb in enumerate(b.coeffs):
+        if self.is_zero or other.is_zero:
+            return ComplexPolynomial()
+        out = [ExactComplex(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ca in enumerate(self.coeffs):
+            for j, cb in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + ca * cb
-        return ComplexPolynomial(out, exact=a.exact)
+        return ComplexPolynomial(out)
 
     def derivative(self) -> "ComplexPolynomial":
         if self.degree <= 0:
-            return ComplexPolynomial.zero(exact=self.exact)
-        return ComplexPolynomial(
-            [i * c for i, c in enumerate(self.coeffs) if i >= 1], exact=self.exact
-        )
+            return ComplexPolynomial()
+        return ComplexPolynomial([i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
-    def __call__(self, z):
-        if self.is_zero:
-            return ExactComplex(0) if (self.exact and _is_exact_scalar(z)) else 0j
-        if self.exact and _is_exact_scalar(z):
-            z = ExactComplex.coerce(z)
-            acc = self.coeffs[-1]
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * z + c
-            return acc
-        z = complex(z)
-        acc = complex(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + complex(c)
+    def __call__(self, z) -> ExactComplex:
+        acc = ExactComplex(0)
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
         return acc
 
     def __eq__(self, other):
         if not isinstance(other, ComplexPolynomial):
             return NotImplemented
-        if self.exact and other.exact:
-            return self.coeffs == other.coeffs
-        return tuple(complex(c) for c in self.coeffs) == tuple(
-            complex(c) for c in other.coeffs
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.exact,) + tuple(complex(c) for c in self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        tag = "exact" if self.exact else "float"
-        return f"ComplexPolynomial({list(self.coeffs)!r}, {tag})"
+        return f"ComplexPolynomial({list(self.coeffs)!r})"
 
     # -- roots -------------------------------------------------------------
 
     # No zero table calls this; it stays because perfbench/tracing.py traces it by name.
     def roots(self) -> np.ndarray:
-        return np.roots(self.to_complex_array()[::-1])
+        return np.roots([complex(c) for c in reversed(self.coeffs)])
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ class StandardFormCase:
     def __post_init__(self):
         if self.case not in (CASE_SIMPLE, CASE_UNIT_RESIDUES, CASE_PLUS_MINUS):
             raise InvalidCaseData(f"unknown case {self.case!r}")
+        if not math.isfinite(self.alpha) or not cmath.isfinite(self.a or 0):
+            raise InvalidCaseData(f"case data must be finite, got alpha={self.alpha!r}, "
+                                  f"a={self.a!r}")
         if self.scale == 0:
             raise InvalidCaseData("scale must be nonzero")
         if self.case == CASE_SIMPLE:
@@ -128,7 +131,7 @@ def wronskian_identity_check(t: ComplexPolynomial, s: ComplexPolynomial):
     """Verify that ``t's - ts'`` is a single monomial ``alpha mu z^(alpha-1)``.
 
     ``t`` and ``s`` must be monic of the same degree alpha >= 2 with nonzero
-    exact constant terms.  On success returns ``(alpha, mu)`` with
+    constant terms.  On success returns ``(alpha, mu)`` with
     ``mu = s0 - t0`` and asserts the forced conclusion: every middle
     coefficient of t and s vanishes, so ``t = z^alpha + t0`` and
     ``s = z^alpha + s0``.  Everything is checked in exact arithmetic.
@@ -139,8 +142,6 @@ def wronskian_identity_check(t: ComplexPolynomial, s: ComplexPolynomial):
     alpha = t.degree
     if alpha < 2 or s.degree != alpha:
         raise ValueError("need equal degrees >= 2")
-    if not (t.exact and s.exact):
-        raise ValueError("the identity check requires exact coefficients")
     one = ExactComplex(1)
     if t.leading_coefficient != one or s.leading_coefficient != one:
         raise ValueError("polynomials must be monic")
@@ -228,7 +229,7 @@ def normalize_form(form: MeromorphicOneForm, tol: float = 1e-9) -> StandardFormC
     for _, lam in form.poles:
         if abs(lam.imag) > tol * max(1.0, abs(lam)):
             raise ResidueMismatch(f"residue {lam!r} is not real")
-    if form.exact_part.degree > 0:
+    if len(form.exact_part) > 1:
         raise PatternMismatch("a standard form has a constant exact part")
 
     # pole products in units of the farthest pole; the scale is multiplied back
@@ -327,10 +328,8 @@ class FootballMetric:
     def singular_points(self) -> Tuple[SingularPointInfo, ...]:
         """The two cones, at 0 and at infinity.  At alpha = 1 they are
         smooth, but stay conical rows so the area quadrature still caps them."""
-        return tuple(SingularPointInfo(
-            location=p, kind="cone", order=None, residue=None,
-            predicted_angle=TWO_PI * self.alpha, divisor_weight=self.alpha - 1.0,
-            smooth=self.alpha == 1.0, conical_expected=True) for p in (0j, INFINITY))
+        return tuple(SingularPointInfo(p, TWO_PI * self.alpha, self.alpha - 1.0, True)
+                     for p in (0j, INFINITY))
 
 
 def football_metric(alpha: float, variant: str = "generic", b: float = 0.0

@@ -10,7 +10,9 @@ is data (CSV/JSON) and byte-stable for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,16 +75,31 @@ _FAILURES = (
 )
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    return complex(text)
+def _parse_complex(value) -> complex:
+    """A finite point from 're,im', a complex literal or a job-file number."""
+    if isinstance(value, str):
+        parts = value.split(",")
+        z = complex(float(parts[0]), float(parts[1])) if len(parts) == 2 else complex(value)
+    else:
+        z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {value!r} is not finite")
+    return z
 
 
 def _parse_grid(text: str) -> GridSpec:
     cx, cy, half, n = text.split(",")
-    return GridSpec(complex(float(cx), float(cy)), float(half), int(n))
+    grid = GridSpec(complex(float(cx), float(cy)), float(half), int(n))
+    if not (cmath.isfinite(grid.center) and math.isfinite(grid.half_width)) or grid.n < 1:
+        raise ValueError(f"grid {text!r} needs a finite center and half-width and n >= 1")
+    return grid
+
+
+def _parse_step(value) -> float:
+    h = float(value)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"stencil spacing {value!r} is not positive and finite")
+    return h
 
 
 def _parse_standard(text: str) -> StandardFormCase:
@@ -147,7 +164,7 @@ def _load_form(args):
 
 
 def _phi(args, form) -> PhiField:
-    p0 = _parse_complex(args.p0) if isinstance(args.p0, str) else args.p0
+    p0 = None if args.p0 is None else _parse_complex(args.p0)
     return solve_phi_closed(form, p0, float(args.phi0))
 
 
@@ -157,7 +174,10 @@ def _field(args, form, k_required=True) -> MetricField:
         if k_required:
             raise ValueError("this command needs --K")
         k = 1
-    return MetricField(_phi(args, form), int(k))
+    phi = _phi(args, form)
+    if k not in (-1, 0, 1):  # a --config value may be any JSON number
+        raise ValueError("curvature sign must be one of -1, 0, 1")
+    return MetricField(phi, int(k))
 
 
 def _emit(args, text: str):
@@ -267,7 +287,7 @@ def cmd_metric(args) -> int:
     if args.grid is None:
         raise ValueError("metric needs --grid cx,cy,half,n")
     grid = _parse_grid(args.grid)
-    h = float(args.h)
+    h = _parse_step(args.h)
     pts = grid.points()
     touch = max(2.0 * h, 1e-6)
     touched = [p for p in exclusion_points(field) if np.min(np.abs(pts - p)) < touch]
@@ -318,6 +338,8 @@ def cmd_angles(args) -> int:
     radii = None
     if args.radii:
         lo, hi, n = args.radii.split(",")
+        if not all(math.isfinite(float(r)) for r in (lo, hi)):
+            raise ValueError(f"radii {args.radii!r} are not finite")
         radii = np.geomspace(float(lo), float(hi), int(n))
     reports = []
     for info in classify_singular_points(form, field.K):
@@ -371,7 +393,7 @@ def cmd_verify(args) -> int:
     form = _load_form(args)
     field = _field(args, form)
     grid = suggest_grid(field) if args.grid is None else _parse_grid(args.grid)
-    h = float(args.h)
+    h = _parse_step(args.h)
 
     def check_curvature():
         curv = gauss_curvature_fd(field, grid, h)

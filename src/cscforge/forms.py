@@ -1,7 +1,8 @@
 """Differentials of the third kind on the sphere and their real potentials.
 
-A form is stored by its simple-pole data ``(a_i, lambda_i)`` plus a polynomial
-exact part H, so ``omega = sum lambda_i/(z - a_i) dz + dH``.  The hypotheses
+A form is stored by its simple-pole data ``(a_i, lambda_i)`` plus the
+ascending complex coefficients of a polynomial exact part H, so
+``omega = sum lambda_i/(z - a_i) dz + dH``.  The hypotheses
 of the construction (all poles simple including infinity, all residues real
 and nonzero) are statements about this data, which keeps their validation
 structural; so is the order at infinity, read from H and the residue
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -26,7 +28,6 @@ import numpy as np
 
 from .algebra import (
     INFINITY,
-    ComplexPolynomial,
     Point,
     _clustered_roots,
     _point_key,
@@ -66,10 +67,14 @@ class SingularPoint:
 
 @dataclass(frozen=True, eq=False)
 class MeromorphicOneForm:
-    """A meromorphic 1-form ``sum lambda_i/(z - a_i) dz + dH`` on the sphere."""
+    """A meromorphic 1-form ``sum lambda_i/(z - a_i) dz + dH`` on the sphere.
+
+    ``exact_part`` holds the coefficients of H, ascending, with trailing
+    zeros stripped: ``()`` is H = 0, and H is nonconstant when it has more
+    than one."""
 
     poles: Tuple[Tuple[complex, complex], ...]
-    exact_part: ComplexPolynomial
+    exact_part: Tuple[complex, ...]
 
     @cached_property
     def _locs(self) -> np.ndarray:
@@ -136,8 +141,8 @@ class MeromorphicOneForm:
         z^(-k-1) near infinity, with moments mu_k = sum lambda_i a_i^k, and
         the order is 1 - k for the first mu_k above 1e-12 sum |lambda_i
         a_i^k|; the first n moments of n distinct poles cannot all vanish."""
-        if self.exact_part.degree > 0:
-            return self.exact_part.degree + 1
+        if len(self.exact_part) > 1:
+            return len(self.exact_part)
         lam = np.array([r for _, r in self.poles], dtype=complex)
         terms = (lam * self._locs**k for k in range(len(lam) - 1))
         k = next((k for k, t in enumerate(terms) if abs(t.sum()) > 1e-12 * np.abs(t).sum()),
@@ -188,7 +193,7 @@ class MeromorphicOneForm:
         A matrix that overflows (h_d near the underflow threshold) raises
         :class:`ZeroTableFailed`."""
         lam = np.array([r for _, r in self.poles], dtype=complex)
-        h = self.exact_part.derivative().to_complex_array()
+        h = np.array([j * c for j, c in enumerate(self.exact_part)][1:], dtype=complex)
         n, d = len(lam), len(h) - 1
         m = np.zeros((n + d, n + d), dtype=complex)
         m[range(n), range(n)] = self._locs
@@ -221,7 +226,7 @@ class MeromorphicOneForm:
         eigenproblem when H is nonconstant.  Two entries within 1e-12
         relative of each other (a zero the eigensolver put on a pole or on
         another zero) raise :class:`ZeroTableFailed`."""
-        zeros = (self._zeros_with_exact_part() if self.exact_part.degree > 0
+        zeros = (self._zeros_with_exact_part() if len(self.exact_part) > 1
                  else self._zeros_from_poles())
         table = [SingularPoint(z, m) for z, m in zeros]
         table += [SingularPoint(a, -1, lam) for a, lam in self.poles]
@@ -253,7 +258,7 @@ class MeromorphicOneForm:
     def negated(self) -> "MeromorphicOneForm":
         return build_third_kind(
             [(a, -lam) for a, lam in self.poles],
-            ComplexPolynomial([-complex(c) for c in self.exact_part.coeffs]),
+            [-c for c in self.exact_part],
         )
 
     def __repr__(self) -> str:
@@ -262,9 +267,10 @@ class MeromorphicOneForm:
 
 def build_third_kind(
     poles: Iterable[Tuple[complex, complex]],
-    exact_part: ComplexPolynomial | Sequence | None = None,
+    exact_part: Sequence[complex] | None = None,
 ) -> MeromorphicOneForm:
-    """Build a validated form from pole/residue data and a polynomial part.
+    """Build a validated form from pole/residue data and the ascending
+    coefficients of a polynomial part (any sequence, or None for H = 0).
 
     Raises :class:`DuplicatePole` if two locations collide and
     :class:`ZeroResidue` if any residue is zero.  Nothing is expanded or
@@ -278,15 +284,12 @@ def build_third_kind(
     for a, lam in pole_list:
         if lam == 0:
             raise ZeroResidue(f"pole at {a!r} has zero residue")
-    if exact_part is None:
-        h = ComplexPolynomial.zero()
-    elif isinstance(exact_part, ComplexPolynomial):
-        h = exact_part.to_float()
-    else:
-        h = ComplexPolynomial([complex(c) for c in exact_part])
-    if not pole_list and h.degree <= 0:
+    h = [complex(c) for c in (() if exact_part is None else exact_part)]
+    while h and h[-1] == 0:
+        h.pop()
+    if not pole_list and len(h) <= 1:
         raise ValueError("the form is identically zero")
-    return MeromorphicOneForm(tuple(pole_list), h)
+    return MeromorphicOneForm(tuple(pole_list), tuple(h))
 
 
 @dataclass(frozen=True)
@@ -364,10 +367,18 @@ def form_to_json(form: MeromorphicOneForm) -> dict:
             {"a": [a.real, a.imag], "lambda": [lam.real, lam.imag]}
             for a, lam in form.poles
         ],
-        "exact_part": [
-            [complex(c).real, complex(c).imag] for c in form.exact_part.coeffs
-        ],
+        "exact_part": [[c.real, c.imag] for c in form.exact_part],
     }
+
+
+def _finite_complex(pair, what: str) -> complex:
+    """``re + i im`` from a JSON pair ``[re, im]``; ValueError naming
+    ``what`` unless the pair is two finite numbers."""
+    if (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and abs(x) <= sys.float_info.max for x in pair)):
+        return complex(pair[0], pair[1])
+    raise ValueError(f"{what} must be a pair [re, im] of finite numbers, got {pair!r}")
 
 
 def form_from_json(data: dict | str) -> MeromorphicOneForm:
@@ -376,9 +387,10 @@ def form_from_json(data: dict | str) -> MeromorphicOneForm:
     if not isinstance(data, dict):
         raise ValueError("form document must be a JSON object")
     poles = []
-    for entry in data.get("poles", []):
-        a = entry["a"]
-        lam = entry["lambda"]
-        poles.append((complex(a[0], a[1]), complex(lam[0], lam[1])))
-    coeffs = [complex(c[0], c[1]) for c in data.get("exact_part", [])]
-    return build_third_kind(poles, ComplexPolynomial(coeffs))
+    for i, entry in enumerate(data.get("poles", [])):
+        a = _finite_complex(entry["a"], f"poles[{i}].a")
+        lam = _finite_complex(entry["lambda"], f"poles[{i}].lambda")
+        poles.append((a, lam))
+    coeffs = [_finite_complex(c, f"exact_part[{j}]")
+              for j, c in enumerate(data.get("exact_part", []))]
+    return build_third_kind(poles, coeffs)

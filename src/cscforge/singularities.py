@@ -57,17 +57,13 @@ _SMOOTH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SingularPointInfo:
-    """Per-point prediction: what the divisor rules say about one location."""
+    """Per-point prediction: what the angle rules say about one location.
+    ``predicted_angle`` is None where no angle is asserted."""
 
     location: Point
-    kind: str                       # "zero", "pole" or "cone" (a closed family's)
-    order: Optional[int]            # zero order, when kind == "zero"
-    residue: Optional[float]        # real residue, when kind == "pole"
     predicted_angle: Optional[float]
     divisor_weight: float
-    smooth: bool
     conical_expected: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -111,41 +107,16 @@ def singular_point_info(point: SingularPoint, K: int) -> SingularPointInfo:
     """
     p = point.location
     if point.weight > 0:
-        return SingularPointInfo(
-            location=p,
-            kind="zero",
-            order=point.weight,
-            residue=None,
-            predicted_angle=TWO_PI * (point.weight + 1),
-            divisor_weight=float(point.weight),
-            smooth=False,
-            conical_expected=True,
-            note="degenerate when the K=-1 field value is 2 here"
-            if K == -1 else "",
-        )
+        return SingularPointInfo(p, TWO_PI * (point.weight + 1), float(point.weight), True)
     lam = point.residue.real
     mag = abs(lam)
     if K == 0 and lam < 0:
         # the flat-case density diverges here whatever |residue| is,
         # so even residue -1 is singular (only +1 is a smooth point)
-        return SingularPointInfo(
-            location=p, kind="pole", order=None, residue=lam,
-            predicted_angle=None, divisor_weight=0.0,
-            smooth=False, conical_expected=False,
-            note="negative residue with K=0: singular but not conical",
-        )
+        return SingularPointInfo(p, None, 0.0, False)
     if abs(mag - 1.0) <= _SMOOTH_TOL:
-        return SingularPointInfo(
-            location=p, kind="pole", order=None, residue=lam,
-            predicted_angle=TWO_PI, divisor_weight=0.0,
-            smooth=True, conical_expected=False,
-            note="unit residue: smooth point of the metric",
-        )
-    return SingularPointInfo(
-        location=p, kind="pole", order=None, residue=lam,
-        predicted_angle=TWO_PI * mag, divisor_weight=mag - 1.0,
-        smooth=False, conical_expected=True,
-    )
+        return SingularPointInfo(p, TWO_PI, 0.0, False)  # a smooth point of the metric
+    return SingularPointInfo(p, TWO_PI * mag, mag - 1.0, True)
 
 
 def classify_singular_points(

@@ -174,9 +174,9 @@ def test_criterion_4_cone_angles(test_forms):
             rel = abs(rep.fitted_angle - info.predicted_angle) / info.predicted_angle
             worst_rel = max(worst_rel, rel)
             n_points += 1
-            n_smooth += info.smooth
+            n_smooth += info.predicted_angle == TWO_PI
             assert rel <= 0.01, (
-                f"{info.kind} at {info.location}: fitted {rep.fitted_angle:.6f} "
+                f"point {info.location}: fitted {rep.fitted_angle:.6f} "
                 f"vs predicted {info.predicted_angle:.6f} ({100 * rel:.3f}%)"
             )
     _report(4, "cone angles", True,

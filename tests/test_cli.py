@@ -87,9 +87,24 @@ class TestInspect:
         assert err.startswith("zero table failed: ") and failure in err
         assert "Warning" not in err
 
-    def test_parse_error(self, capsys):
-        code, _, err = run(capsys, ["inspect", "--form", "{not json"])
-        assert code == 1
+    @pytest.mark.parametrize("source, entry", [
+        (["--form", "{not json"], ""),
+        # a pole location and a coefficient of H given by one number
+        (["--form", '{"poles":[{"a":[0],"lambda":[1,0]}]}'], "poles[0].a"),
+        (["--form", '{"poles":[{"a":[0,0],"lambda":[1,0]}],"exact_part":[[1]]}'],
+         "exact_part[0]"),
+        # NaN and Infinity load as JSON numbers, but are not finite
+        (["--form", '{"poles":[{"a":[NaN,0],"lambda":[1,0]}]}'], "poles[0].a"),
+        (["--form", '{"poles":[{"a":[0,0],"lambda":[Infinity,0]}]}'], "poles[0].lambda"),
+        (["--standard", "unit:alpha=1e400"], "alpha=inf"),
+        (["--standard", "simple:lambda=nan"], "alpha=nan"),
+        (["--standard", "pm:alpha=2,a=inf"], "a=(inf+0j)"),
+    ], ids=["not-json", "short-pole-pair", "short-coefficient", "nan", "infinity",
+            "alpha-overflow", "lambda-nan", "a-infinite"])
+    def test_parse_error(self, capsys, source, entry):
+        code, out, err = run(capsys, ["inspect", *source])
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error:") and entry in err
 
     @pytest.mark.parametrize("command", ["classify", "verify"])
     @pytest.mark.parametrize("phi0", ["5", "0"])
@@ -366,6 +381,49 @@ class TestVerify:
         doc = json.loads(out)
         gb = doc["checks"]["gauss_bonnet"]
         assert abs(gb["total_area"] - gb["expected_area"]) < 0.01 * gb["expected_area"]
+
+
+class TestNumericSettings:
+    """A numeric setting that is out of range or not finite is a parse
+    error, with no output and no RuntimeWarning."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--K", "1", "--h", "0"],
+        ["metric", "--K", "1", "--grid", "1,1,0.1,3", "--h", "0"],
+        ["metric", "--K", "1", "--grid", "1,1,0.1,0"],
+        ["phi", "--grid", "1,1,0.1,0"],
+        ["phi", "--grid", "nan,1,0.1,3"],
+        ["phi", "--p0", "nan,0", "--at", "1,1"],
+        ["phi", "--at", "inf"],
+        ["angles", "--K", "1", "--radii", "nan,1e-3,5"],
+    ])
+    def test_bad_flag(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--standard", "simple:lambda=2"])
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("job", [
+        {"K": 1.5, "at": ["1,1"]},
+        {"p0": math.nan, "at": ["1,1"]},
+        {"at": [[1, 1]]},  # a point is a string or a number
+    ], ids=["fractional-K", "nan-p0", "list-point"])
+    def test_bad_job_file_value(self, capsys, tmp_path, job):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(job))
+        code, out, err = run(capsys, ["phi", "--standard", "simple:lambda=2",
+                                      "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("K", [-1, 0, 1])
+    def test_K_as_json_int(self, capsys, tmp_path, K):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"K": K}))
+        code, out, _ = run(capsys, ["metric", "--standard", "simple:lambda=2",
+                                    "--grid", "1,1,0.1,2", "--config", str(cfg)])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        assert all(abs(float(row[4]) - K) < 1e-5 for row in rows)
 
 
 class TestConfigPrecedence:

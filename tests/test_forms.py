@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cscforge import (
-    ComplexPolynomial,
     DuplicatePole,
     EvalAtPole,
     HypothesesFailed,
@@ -32,7 +31,7 @@ class TestBuild:
 
     def test_pure_exact_part(self):
         # H = z puts a double pole at infinity: the form is inspectable only
-        form = build_third_kind([], ComplexPolynomial([0.0, 1.0]))
+        form = build_third_kind([], [0.0, 1.0])
         with pytest.raises(HypothesesFailed):
             potential_f(form, 3.7 + 2j)
 
@@ -46,7 +45,14 @@ class TestBuild:
 
     def test_zero_form(self):
         with pytest.raises(ValueError):
-            build_third_kind([], ComplexPolynomial([5.0]))
+            build_third_kind([], [5.0])
+
+    def test_exact_part_is_a_coefficient_tuple(self):
+        # ascending, from any sequence, with trailing zeros stripped
+        for h in ([0.0, 1.0, 0.0], (0, 1), np.array([0.0, 1.0])):
+            assert build_third_kind([(1j, 1.0)], h).exact_part == (0j, 1 + 0j)
+        assert build_third_kind([(1j, 1.0)]).exact_part == ()
+        assert build_third_kind([(1j, 1.0)], [0.0]).exact_part == ()
 
 
 class TestHypotheses:
@@ -66,7 +72,7 @@ class TestHypotheses:
         assert abs(loop_integral_re(form, 0j, radius=0.5)) > 1.0
 
     def test_exact_part_breaks_third_kind(self):
-        form = build_third_kind([], ComplexPolynomial([0.0, 1.0]))  # dz
+        form = build_third_kind([], [0.0, 1.0])  # dz
         rep = check_hypotheses(form)
         assert not rep.is_third_kind
         assert rep.real_part_exact
@@ -140,7 +146,7 @@ class TestPotential:
 class TestJson:
     def test_round_trip(self):
         form = build_third_kind([(1j, 1.0), (0.5 - 0.25j, -2.0)],
-                                ComplexPolynomial([0.0, 0.0, 0.5]))
+                                [0.0, 0.0, 0.5])
         doc = form_to_json(form)
         back = form_from_json(doc)
         assert back.poles == form.poles
@@ -148,5 +154,5 @@ class TestJson:
 
     def test_missing_exact_part(self):
         form = form_from_json('{"poles": [{"a": [0, 0], "lambda": [3, 0]}]}')
-        assert form.exact_part.is_zero
+        assert form.exact_part == ()
         assert sum(p.weight for p in form.singular_points) == -2

@@ -9,7 +9,6 @@ from cscforge import (
     INFINITY,
     BadInitialValue,
     BasePointIsPole,
-    ComplexPolynomial,
     HypothesesFailed,
     MeromorphicOneForm,
     PathTooCloseToPole,
@@ -65,7 +64,7 @@ class TestClosedForm:
             solve_phi_closed(build_third_kind([(0j, 1j)]), 1.0 + 0j, 2.0)
         with pytest.raises(HypothesesFailed):
             solve_phi_closed(
-                build_third_kind([], ComplexPolynomial([0.0, 1.0])), 1.0 + 0j, 2.0
+                build_third_kind([], [0.0, 1.0]), 1.0 + 0j, 2.0
             )
 
     def test_from_a0(self):

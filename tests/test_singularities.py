@@ -55,7 +55,7 @@ class TestPredictedDivisor:
         for p in (0j, INFINITY):
             assert table[p].conical_expected and table[p].divisor_weight == 1.0
         for p in (1j, -1j):  # the unit-residue poles are smooth points
-            assert table[p].smooth and not table[p].conical_expected
+            assert table[p].predicted_angle == TWO_PI and not table[p].conical_expected
             assert table[p].divisor_weight == 0.0
 
     def test_flat_negative_residue_excluded(self):
