@@ -89,12 +89,31 @@ class MeromorphicOneForm:
             acc += lam / (z - a)
         return acc
 
-    def eta_many(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        acc = np.zeros_like(zs)
-        for (a, lam) in self.poles:
-            acc += lam / (zs - a)
-        return acc
+    def potential_and_log_eta(self, zs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The potential and log|eta| at a 1-D array of points, from one pass
+        over the poles in real arithmetic.  With d = z - a and q = |d|^2 the
+        potential gains lambda.real log q, as in :meth:`potential_many` (bit
+        for bit), and eta gains lambda conj(d) / q."""
+        x, y = zs.real, zs.imag
+        f, eta_re, eta_im = np.zeros(len(zs)), np.zeros(len(zs)), np.zeros(len(zs))
+        dx, dy, q, t, u = (np.empty(len(zs)) for _ in range(5))
+        with np.errstate(divide="ignore"):
+            for (a, lam) in self.poles:
+                np.subtract(x, a.real, out=dx)
+                np.subtract(y, a.imag, out=dy)
+                np.multiply(dx, dx, out=q)
+                q += np.multiply(dy, dy, out=t)
+                f += np.multiply(lam.real, np.log(q, out=t), out=t)
+                np.divide(lam.real, q, out=t)
+                eta_re += np.multiply(dx, t, out=u)
+                eta_im -= np.multiply(dy, t, out=u)
+                if lam.imag:
+                    np.divide(lam.imag, q, out=t)
+                    eta_re += np.multiply(dy, t, out=u)
+                    eta_im += np.multiply(dx, t, out=u)
+            eta_re *= eta_re
+            eta_re += np.multiply(eta_im, eta_im, out=eta_im)
+            return f, 0.5 * np.log(eta_re, out=eta_re)
 
     def potential(self, z: complex) -> float:
         """Real potential f with df = omega + conj(omega), constant fixed to 0."""

@@ -4,10 +4,18 @@ The density of ``g = rho |dz|^2`` is
 
     rho = 4 Phi (4 - Phi) / (4 + (K - 1) Phi)^2 * |eta|^2,
 
-evaluated in log space throughout: with ``x`` the offset potential and
-``sp`` the softplus, ``log Phi = log 4 - sp(-x)`` and
-``log(4 - Phi) = log 4 - sp(x)``, which stays accurate however hard the
-field saturates near poles.  Gauss curvature is verified with the five-point
+and with ``Phi = 4 sigma(x)``, ``x`` the offset potential, it is elementary
+in ``x``:
+
+    K = 1:   rho = 4 e^(-|x|) / (1 + e^(-|x|))^2 * |eta|^2,
+    K = 0:   rho = 4 e^x * |eta|^2,
+    K = -1:  rho = 4 e^(-|x|) / (1 - e^(-|x|))^2 * |eta|^2.
+
+It is evaluated in log space, with ``log1p`` and ``expm1`` for the two
+K = +-1 denominators, which stays accurate however hard the field saturates
+near poles; at K = +-1 it is even in ``x`` by construction.  Points go
+through in fixed blocks, each in one pass over the poles that yields both
+``x`` and ``log|eta|``.  Gauss curvature is verified with the five-point
 Laplacian of ``log rho``:  ``K_est = -lap(log rho) / (2 rho)``.
 """
 
@@ -38,10 +46,9 @@ __all__ = [
 ]
 
 _LOG4 = math.log(4.0)
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+# points per pass over the poles: on a 2-core x86-64 machine 32768 ran about
+# 15% slower and 8192 no faster
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -106,32 +113,31 @@ class MetricField:
 
     # -- evaluation --------------------------------------------------------
 
-    def _chart_z(self, pts: np.ndarray, chart: str) -> Tuple[np.ndarray, np.ndarray]:
-        pts = np.asarray(pts, dtype=complex)
-        if chart == "z":
-            return pts, np.zeros(pts.shape, dtype=float)
-        if chart == "w":
-            with np.errstate(divide="ignore"):
-                extra = -4.0 * np.log(np.abs(pts))
-            return 1.0 / pts, extra
-        raise ValueError("chart must be 'z' or 'w'")
-
     def log_density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray:
         """log(rho) at an array of points, in the z chart or the w = 1/z chart
         (the w chart carries the conformal factor |dz/dw|^2 = 1/|w|^4)."""
-        zs, extra = self._chart_z(pts, chart)
-        x = self.phi.offset_potential_many(zs)
-        with np.errstate(divide="ignore"):
-            log_abs_eta = np.log(np.abs(self.form.eta_many(zs)))
-        log_numer = _LOG4 + (_LOG4 - _softplus(-x)) + (_LOG4 - _softplus(x))
-        if self.K == 1:
-            log_denom2 = 2.0 * _LOG4
-        elif self.K == 0:
-            log_denom2 = 2.0 * (_LOG4 - _softplus(x))
-        else:
-            with np.errstate(divide="ignore"):
-                log_denom2 = 2.0 * (_LOG4 + np.log(np.abs(np.tanh(0.5 * x))))
-        return log_numer - log_denom2 + 2.0 * log_abs_eta + extra
+        if chart not in ("z", "w"):
+            raise ValueError("chart must be 'z' or 'w'")
+        pts = np.asarray(pts, dtype=complex)
+        flat = pts.ravel()
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _BLOCK):
+            zs, extra = flat[lo:lo + _BLOCK], 0.0
+            if chart == "w":
+                with np.errstate(divide="ignore"):
+                    extra = -4.0 * np.log(np.abs(zs))
+                zs = 1.0 / zs
+            x, log_abs_eta = self.form.potential_and_log_eta(zs)
+            x += self.phi.a0
+            if self.K == 0:
+                factor = _LOG4 + x
+            else:
+                ax = np.abs(x)
+                with np.errstate(divide="ignore"):
+                    tail = np.log1p(np.exp(-ax)) if self.K == 1 else np.log(-np.expm1(-ax))
+                factor = _LOG4 - ax - 2.0 * tail
+            out[lo:lo + _BLOCK] = factor + 2.0 * log_abs_eta + extra
+        return out.reshape(pts.shape)
 
     def density(self, z: complex) -> float:
         """rho at a single point; 0 exactly at zeros of the form.

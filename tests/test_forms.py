@@ -27,7 +27,7 @@ class TestBuild:
         form = build_third_kind([(1j, 1.0), (-1j, 1.0)])
         zs = np.array([0.3 + 0.2j, 2.0 - 1.0j, -0.7 + 0j])
         expect = 2 * zs / (zs**2 + 1)
-        assert np.allclose(form.eta_many(zs), expect, atol=1e-13)
+        assert np.allclose([form.eta_at(z) for z in zs], expect, atol=1e-13)
 
     def test_pure_exact_part(self):
         # H = z puts a double pole at infinity: the form is inspectable only
@@ -119,6 +119,17 @@ class TestPotential:
                 eta = form.eta_at(z)
                 assert abs(fx - 2 * eta.real) < 1e-6 * max(1, abs(eta))
                 assert abs(fy + 2 * eta.imag) < 1e-6 * max(1, abs(eta))
+
+    def test_fused_pass(self, test_forms):
+        # the potential equals potential_many bit for bit; log|eta| keeps
+        # the imaginary part of a residue, as the pole sum does
+        rng = np.random.default_rng(5)
+        zs = rng.uniform(-2.2, 2.2, 500) + 1j * rng.uniform(-2.2, 2.2, 500)
+        for form in test_forms + [build_third_kind([(0j, 1.0 + 0.5j), (1j, -2.0 - 1j)])]:
+            f, log_abs_eta = form.potential_and_log_eta(zs)
+            assert np.array_equal(f, form.potential_many(zs))
+            ref = np.log([abs(form.eta_at(z)) for z in zs])
+            assert np.max(np.abs(log_abs_eta - ref)) < 1e-12
 
     def test_log_term_removed_extends_continuously(self):
         form = build_third_kind([(1j, 1.0), (-1j, 1.0)])

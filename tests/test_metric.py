@@ -21,6 +21,7 @@ from cscforge import (
     suggest_grid,
     write_density_grid,
 )
+from cscforge.metric import _BLOCK, sample_points_avoiding
 
 
 class _ConstantDensity:
@@ -148,6 +149,72 @@ class TestNegationInvariance:
         rho_pos = MetricField(f_pos, K=0).density(z)
         rho_neg = MetricField(f_neg, K=0).density(z)
         assert abs(rho_pos - rho_neg) > 1e-2 * max(rho_pos, rho_neg)
+
+    @pytest.mark.parametrize("K", [1, -1])
+    def test_density_even_in_offset_potential(self, test_forms, K):
+        # negating the form and a0 flips f, x and eta exactly, and at K = +-1
+        # the density depends on |x| and |eta| only: equal bit for bit
+        for form in test_forms:
+            field = solve_phi_closed(form, None, 1.5)
+            neg = phi_field_from_a0(form.negated(), -field.a0, field.p0)
+            m, m_neg = MetricField(field, K=K), MetricField(neg, K=K)
+            pts = sample_points_avoiding(exclusion_points(m), 300, seed=7)
+            for chart in ("z", "w"):
+                assert np.array_equal(m.log_density_many(pts, chart),
+                                      m_neg.log_density_many(pts, chart))
+
+
+def reference_log_density(form, a0, K, z):
+    """log rho from the paper's formula 4 Phi (4 - Phi) / (4 + (K - 1) Phi)^2
+    |eta|^2, one point at a time in Python complex arithmetic."""
+    eta = sum(lam / (z - a) for a, lam in form.poles)
+    x = sum(lam.real * math.log(abs(z - a) ** 2) for a, lam in form.poles) + a0
+    phi, four_minus_phi = 4.0 / (1.0 + math.exp(-x)), 4.0 / (1.0 + math.exp(x))
+    denom = four_minus_phi if K == 0 else 4.0 + (K - 1) * phi
+    return math.log(4.0 * phi * four_minus_phi / denom**2 * abs(eta) ** 2)
+
+
+class TestBlockedKernel:
+    """The blocked log_density_many against :func:`reference_log_density`
+    at points clear of zeros, poles and (for K = -1) field value 2."""
+
+    @staticmethod
+    def clear_points(m, chart, n=257):
+        rng = np.random.default_rng(11)
+        sing = np.array(exclusion_points(m), dtype=complex)
+        out = []
+        while len(out) < n:
+            p = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            if chart == "w" and abs(p) < 0.3:
+                continue
+            z = p if chart == "z" else 1.0 / p
+            if np.min(np.abs(sing - z)) < 0.1 or abs(m.phi.value(z) - 2.0) < 0.1:
+                continue
+            out.append(p)
+        return np.array(out)
+
+    @pytest.mark.parametrize("K", [1, 0, -1])
+    @pytest.mark.parametrize("chart", ["z", "w"])
+    def test_against_reference(self, standard_forms, random_forms, K, chart):
+        for form in (standard_forms[3], random_forms[0], random_forms[2]):
+            field = solve_phi_closed(form, None, 1.5)
+            m = MetricField(field, K=K)
+            pts = self.clear_points(m, chart)
+            ref = np.array([
+                reference_log_density(form, field.a0, K, p if chart == "z" else 1.0 / p)
+                - (0.0 if chart == "z" else 4.0 * math.log(abs(p)))
+                for p in pts
+            ])
+            # 257 points tile every input, so a block written to the wrong
+            # offset lands on the wrong reference value
+            for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+                got = m.log_density_many(np.resize(pts, n), chart)
+                assert got.shape == (n,)
+                assert np.max(np.abs(got - np.resize(ref, n))) < 1e-12
+            grid = np.resize(pts, (129, 257))
+            got = m.log_density_many(grid, chart)
+            assert got.shape == (129, 257)
+            assert np.max(np.abs(got - ref[None, :])) < 1e-12
 
 
 class TestGridIO:

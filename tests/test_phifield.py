@@ -222,7 +222,7 @@ class TestPathOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle evaluated the form or the closed form")
 
-        for name in ("eta_many", "eta_at", "potential", "potential_many"):
+        for name in ("potential_and_log_eta", "eta_at", "potential", "potential_many"):
             monkeypatch.setattr(MeromorphicOneForm, name, refuse)
         monkeypatch.setattr(PhiField, "value", refuse)
         out = integrate_phi_along_path(form, [z1, z2], start)
