@@ -23,7 +23,6 @@ from .classify import (
     FootballMetric,
     StandardFormCase,
     a0_in_standard_coordinates,
-    football_metric,
     normalize_form,
     reduce_to_football,
     standard_form,

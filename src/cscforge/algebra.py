@@ -94,33 +94,17 @@ class ExactComplex:
         return self.re == 0 and self.im == 0
 
     def __add__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+        other = ExactComplex.coerce(other)
         return ExactComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+        other = ExactComplex.coerce(other)
         return ExactComplex(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return ExactComplex(other.re - self.re, other.im - self.im)
-
     def __mul__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+        other = ExactComplex.coerce(other)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -129,10 +113,7 @@ class ExactComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
+        other = ExactComplex.coerce(other)
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero ExactComplex")
@@ -140,13 +121,6 @@ class ExactComplex:
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
-
-    def __rtruediv__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other / self
 
     def __neg__(self):
         return ExactComplex(-self.re, -self.im)

@@ -52,7 +52,6 @@ __all__ = [
     "wronskian_identity_check",
     "normalize_form",
     "FootballMetric",
-    "football_metric",
     "reduce_to_football",
     "a0_in_standard_coordinates",
 ]
@@ -216,7 +215,7 @@ def _matches_standard(form: MeromorphicOneForm, case: StandardFormCase) -> bool:
     return True
 
 
-def normalize_form(form: MeromorphicOneForm, tol: float = 1e-9) -> StandardFormCase:
+def normalize_form(form: MeromorphicOneForm) -> StandardFormCase:
     """Recover the standard case data of a form.
 
     Sorts the residues into the three patterns and reads the forced shape
@@ -225,7 +224,9 @@ def normalize_form(form: MeromorphicOneForm, tol: float = 1e-9) -> StandardFormC
     standard representative moved by z = p w exactly when its poles divided
     by p are that representative's poles with the same residues.  p is the
     alpha-th root of t0 with argument in [0, 2 pi / alpha) and ``a = s0 / t0``.
+    Residues and the single pole's location are compared at 1e-9.
     """
+    tol = 1e-9
     for _, lam in form.poles:
         if abs(lam.imag) > tol * max(1.0, abs(lam)):
             raise ResidueMismatch(f"residue {lam!r} is not real")
@@ -288,8 +289,8 @@ class FootballMetric:
     K = 1
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidAlpha("cone parameter must be positive")
+        if not math.isfinite(self.alpha) or self.alpha <= 0:
+            raise InvalidAlpha("cone parameter must be positive and finite")
         if self.variant not in ("generic", "integer"):
             raise InvalidAlpha(f"unknown variant {self.variant!r}")
         if self.variant == "integer":
@@ -321,24 +322,12 @@ class FootballMetric:
     def density(self, w: complex) -> float:
         return float(np.exp(self.log_density_many(np.array([complex(w)]))[0]))
 
-    def density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray:
-        return np.exp(self.log_density_many(pts, chart))
-
     @cached_property
     def singular_points(self) -> Tuple[SingularPointInfo, ...]:
         """The two cones, at 0 and at infinity.  At alpha = 1 they are
         smooth, but stay conical rows so the area quadrature still caps them."""
         return tuple(SingularPointInfo(p, TWO_PI * self.alpha, self.alpha - 1.0, True)
                      for p in (0j, INFINITY))
-
-
-def football_metric(alpha: float, variant: str = "generic", b: float = 0.0
-                    ) -> FootballMetric:
-    """Build a two-cone family member; ``b`` only matters for the integer
-    variant (b = 0 collapses it onto the generic one)."""
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise InvalidAlpha("cone parameter must be positive and finite")
-    return FootballMetric(float(alpha), variant, float(b))
 
 
 def a0_in_standard_coordinates(case: StandardFormCase, a0: float) -> float:

@@ -245,40 +245,24 @@ def cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _locate_phi2_crossings(field: MetricField, pts: np.ndarray, nx: int) -> list:
-    """Level-set points of the K=-1 degeneracy, by bisection on the offset
-    potential along grid segments whose sign flips."""
-    x = field.phi.offset_potential_many(pts).reshape(-1, nx)
-    grid = pts.reshape(-1, nx)
-    hits = []
-
-    def bisect(z0, z1):
-        f = lambda z: field.phi.offset_potential(z)
-        a, b = z0, z1
-        fa = f(a)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        return 0.5 * (a + b)
-
-    rows, cols = x.shape
-    for i in range(rows):
-        for j in range(cols - 1):
-            if x[i, j] * x[i, j + 1] < 0:
-                hits.append(bisect(grid[i, j], grid[i, j + 1]))
-            if len(hits) >= 8:
-                return hits
-    for i in range(rows - 1):
-        for j in range(cols):
-            if x[i, j] * x[i + 1, j] < 0:
-                hits.append(bisect(grid[i, j], grid[i + 1, j]))
-            if len(hits) >= 8:
-                return hits
-    return hits
+def _locate_phi2_crossings(field: MetricField, pts: np.ndarray, x: np.ndarray,
+                           nx: int) -> np.ndarray:
+    """Points of the K=-1 degeneracy locus (offset potential x = 0): a
+    60-step bisection on the first eight grid edges where x flips sign, rows
+    first, or, when none flips, the grid points where |x| < 1e-9."""
+    grid, x = pts.reshape(-1, nx), x.reshape(-1, nx)
+    rows, cols = x[:, :-1] * x[:, 1:] < 0, x[:-1] * x[1:] < 0
+    a = np.concatenate([grid[:, :-1][rows], grid[:-1][cols]])[:8]
+    b = np.concatenate([grid[:, 1:][rows], grid[1:][cols]])[:8]
+    if a.size == 0:
+        return pts[np.abs(x.ravel()) < 1e-9][:8]
+    fa = field.phi.offset_potential_many(a)
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        fm = field.phi.offset_potential_many(m)
+        left = fa * fm <= 0
+        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    return 0.5 * (a + b)
 
 
 def cmd_metric(args) -> int:
@@ -299,7 +283,7 @@ def cmd_metric(args) -> int:
     if field.K == -1:
         xvals = field.phi.offset_potential_many(pts)
         if np.min(np.abs(xvals)) < 1e-9 or np.max(xvals) > 0 > np.min(xvals):
-            hits = _locate_phi2_crossings(field, pts, grid.n)
+            hits = _locate_phi2_crossings(field, pts, xvals, grid.n)
             locus = ", ".join(f"({z.real:.6g},{z.imag:.6g})" for z in hits)
             sys.stderr.write(
                 "grid crosses the K=-1 degeneracy locus (field value 2) "

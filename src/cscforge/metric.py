@@ -59,15 +59,10 @@ class GridSpec:
     half_width: float
     n: int
 
-    def axes(self) -> Tuple[np.ndarray, np.ndarray]:
-        xs = self.center.real + np.linspace(-self.half_width, self.half_width, self.n)
-        ys = self.center.imag + np.linspace(-self.half_width, self.half_width, self.n)
-        return xs, ys
-
     def points(self) -> np.ndarray:
         """Grid points flattened row-major (y outer, x inner)."""
-        xs, ys = self.axes()
-        X, Y = np.meshgrid(xs, ys)
+        side = np.linspace(-self.half_width, self.half_width, self.n)
+        X, Y = np.meshgrid(self.center.real + side, self.center.imag + side)
         return (X + 1j * Y).ravel()
 
     def describe(self) -> str:
@@ -155,9 +150,6 @@ class MetricField:
         val = self.log_density_many(np.array([z]))[0]
         return float(np.exp(val))
 
-    def density_many(self, pts: np.ndarray, chart: str = "z") -> np.ndarray:
-        return np.exp(self.log_density_many(pts, chart))
-
 
 @dataclass(frozen=True)
 class CurvatureReport:
@@ -165,7 +157,6 @@ class CurvatureReport:
 
     description: str
     h: float
-    exclusion_radius: float
     expected_curvature: float
     points: np.ndarray
     estimates: np.ndarray
@@ -192,20 +183,13 @@ def _laplacian_log_density(field: DensityField, pts: np.ndarray, logrho: np.ndar
     return lap
 
 
-def gauss_curvature_fd(
-    field: DensityField,
-    grid,
-    h: float = 1e-3,
-    exclusion_radius: float = 0.05,
-    phi_gap: float = 0.05,
-) -> CurvatureReport:
+def gauss_curvature_fd(field: DensityField, grid, h: float = 1e-3) -> CurvatureReport:
     """Estimate the Gauss curvature on a grid by finite differences.
 
     ``grid`` is a :class:`GridSpec` or any array of complex points.  Points
-    within ``exclusion_radius`` of a zero or pole (or, for K = -1, where the
-    field is within ``phi_gap`` of 2) are excluded; the report covers the
-    admissible points only.  Raises :class:`GridTouchesSingularity` when no
-    admissible point remains.
+    within 0.05 of a zero or pole (or, for K = -1, where the field is within
+    0.05 of 2) are excluded; the report covers the admissible points only.
+    Raises :class:`GridTouchesSingularity` when no admissible point remains.
     """
     if isinstance(grid, GridSpec):
         pts = grid.points()
@@ -213,8 +197,7 @@ def gauss_curvature_fd(
     else:
         pts = np.asarray(grid, dtype=complex).ravel()
         desc = f"{pts.size} explicit points"
-    mask = admissible_mask(field, pts, exclusion_radius, phi_gap)
-    admissible = pts[mask]
+    admissible = pts[admissible_mask(field, pts)]
     if admissible.size == 0:
         raise GridTouchesSingularity("no admissible grid points remain")
     center = field.log_density_many(admissible)
@@ -223,7 +206,6 @@ def gauss_curvature_fd(
     return CurvatureReport(
         description=desc,
         h=h,
-        exclusion_radius=exclusion_radius,
         expected_curvature=float(field.K),
         points=admissible,
         estimates=k_est,
@@ -232,15 +214,9 @@ def gauss_curvature_fd(
     )
 
 
-def sample_points_avoiding(
-    excluded: Sequence[complex],
-    n: int,
-    seed: int,
-    box: float = 2.2,
-    min_distance: float = 0.1,
-) -> np.ndarray:
-    """Deterministic sample of points in a centered box keeping a minimum
-    distance from the excluded locations."""
+def sample_points_avoiding(excluded: Sequence[complex], n: int, seed: int) -> np.ndarray:
+    """Deterministic sample of points in the box |Re z|, |Im z| <= 2.2 at
+    least 0.1 from every excluded location."""
     rng = np.random.default_rng(seed)
     out: List[complex] = []
     guard = 0
@@ -248,8 +224,8 @@ def sample_points_avoiding(
         guard += 1
         if guard > 200 * n:
             raise RuntimeError("sampling starved; exclusion set too dense")
-        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
-        if all(abs(z - p) >= min_distance for p in excluded):
+        z = complex(rng.uniform(-2.2, 2.2), rng.uniform(-2.2, 2.2))
+        if all(abs(z - p) >= 0.1 for p in excluded):
             out.append(z)
     return np.array(out, dtype=complex)
 
@@ -258,30 +234,26 @@ def negation_invariance_check(
     form: MeromorphicOneForm,
     p0: complex | None = None,
     phi0: float = 1.5,
-    n_points: int = 100,
-    seed: int = 20201,
 ) -> float:
     """Largest pointwise K = 1 density discrepancy between the field of
     ``(form, phi0)`` and that of ``(-form, 4 - phi0)`` with the same base
-    point.  The two describe the same metric, so this should vanish."""
+    point, over 100 seeded points.  The two describe the same metric, so
+    this should vanish."""
     field_a = MetricField(solve_phi_closed(form, p0, phi0), K=1)
     neg = form.negated()
     field_b = MetricField(solve_phi_closed(neg, field_a.phi.p0, 4.0 - phi0), K=1)
-    pts = sample_points_avoiding(exclusion_points(field_a), n_points, seed)
-    rho_a = field_a.density_many(pts)
-    rho_b = field_b.density_many(pts)
+    pts = sample_points_avoiding(exclusion_points(field_a), 100, 20201)
+    rho_a = np.exp(field_a.log_density_many(pts))
+    rho_b = np.exp(field_b.log_density_many(pts))
     return float(np.max(np.abs(rho_a - rho_b)))
 
 
-def suggest_grid(
-    field: DensityField,
-    half_width: float = 0.1,
-    n: int = 21,
-    margin: float = 0.3,
-    phi_margin: float = 0.25,
-) -> GridSpec:
-    """Pick a grid patch well clear of singular points (and of the K = -1
-    degeneracy locus), preferring patches where the density is moderate."""
+def suggest_grid(field: DensityField) -> GridSpec:
+    """Pick a 21 x 21 grid patch of half-width 0.1 whose circumscribed disc
+    stays 0.3 clear of the singular points (and, for K = -1, whose 5 x 5
+    probe stays 0.25 clear of field value 2), preferring patches where the
+    density is moderate."""
+    half_width = 0.1
     exclusions = exclusion_points(field)
     candidates: List[complex] = []
     for xr in np.arange(-2.0, 2.01, 0.25):
@@ -295,7 +267,7 @@ def suggest_grid(
     dists: List[float] = []
     for c in candidates:
         dist = min((abs(c - p) for p in exclusions), default=math.inf) - reach
-        if dist >= margin:
+        if dist >= 0.3:
             kept.append(c)
             dists.append(dist)
     # the 5x5 probe patch of every candidate, one row each, evaluated at once
@@ -304,7 +276,7 @@ def suggest_grid(
         side[:, None] + 1j * side[None, :]).ravel()[None, :]
     ok = np.ones(len(kept), dtype=bool)
     if field.K == -1:
-        ok = admissible_mask(field, probes.ravel(), 0.0, phi_margin).reshape(
+        ok = admissible_mask(field, probes.ravel(), 0.0, 0.25).reshape(
             probes.shape).all(axis=1)
     levels = np.full(len(kept), math.nan)
     logrho = field.log_density_many(probes[ok].ravel()).reshape(-1, probes.shape[1])
@@ -322,7 +294,7 @@ def suggest_grid(
             best = c
     if best is None:
         raise GridTouchesSingularity("no admissible grid patch found")
-    return GridSpec(center=best, half_width=half_width, n=n)
+    return GridSpec(center=best, half_width=half_width, n=21)
 
 
 _CSV_BLOCK = 1024  # rows formatted by one % operation

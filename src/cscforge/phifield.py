@@ -79,14 +79,11 @@ class PhiField:
     phi0: float
     a0: float
 
-    def offset_potential(self, z: complex) -> float:
-        return self.form.potential(z) + self.a0
-
     def offset_potential_many(self, zs: np.ndarray) -> np.ndarray:
         return self.form.potential_many(zs) + self.a0
 
     def value(self, z: complex) -> float:
-        return _logistic4(self.offset_potential(z))
+        return _logistic4(self.form.potential(z) + self.a0)
 
     def value_many(self, zs: np.ndarray) -> np.ndarray:
         return _logistic4_many(self.offset_potential_many(zs))

@@ -160,11 +160,10 @@ def estimate_cone_angle(
     field: DensityField,
     point: Point,
     radii: Sequence[float] | None = None,
-    n_theta: int = 64,
 ) -> ConeAngleReport:
     """Fit the cone angle at ``point`` from the density on small circles.
 
-    ``u(r)``, the angular average of ``log(rho)/2`` over ``n_theta`` samples,
+    ``u(r)``, the angular average of ``log(rho)/2`` over 64 samples,
     is regressed against ``log r`` over ``radii``; the fitted angle is
     ``2 pi (slope + 1)``.  The point at infinity is handled in the w = 1/z
     chart with its conformal factor.  The report is flagged conical only
@@ -204,7 +203,7 @@ def estimate_cone_angle(
         if not admissible_mask(field, np.array([center]), 0.0, 1e-6)[0]:
             note = "degenerate: K=-1 field value is 2 at this point"
 
-    rings = center + radii[:, None] * _ring(n_theta)[None, :]
+    rings = center + radii[:, None] * _ring(64)[None, :]
     logs = field.log_density_many(rings.ravel(), chart=chart).reshape(rings.shape)
     t = np.log(radii)
     tbar = t.mean()

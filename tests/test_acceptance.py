@@ -309,7 +309,7 @@ def test_criterion_7_family_reductions():
 def test_criterion_8_negation_invariance(test_forms):
     worst = 0.0
     for form in test_forms:
-        gap = negation_invariance_check(form, None, 1.3, n_points=100)
+        gap = negation_invariance_check(form, None, 1.3)
         worst = max(worst, gap)
         assert gap < 1e-10
     _report(8, "negation invariance", True,

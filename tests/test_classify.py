@@ -12,6 +12,7 @@ from cscforge import (
     ComplexPolynomial,
     DegenerateA,
     ExactComplex,
+    FootballMetric,
     InvalidAlpha,
     InvalidCaseData,
     MetricField,
@@ -22,7 +23,6 @@ from cscforge import (
     ZeroMu,
     build_third_kind,
     estimate_cone_angle,
-    football_metric,
     gauss_curvature_fd,
     normalize_form,
     phi_field_from_a0,
@@ -209,31 +209,34 @@ class TestNormalize:
 
 class TestFootballMetric:
     def test_round_sphere_limit(self):
-        fm = football_metric(1.0)
+        fm = FootballMetric(1.0)
         w = 0.3 + 0.4j
         assert abs(fm.density(w) - 4.0 / (1 + abs(w) ** 2) ** 2) < 1e-14
 
     def test_integer_b0_matches_generic(self):
-        g = football_metric(2.0)
-        i = football_metric(2.0, "integer", 0.0)
+        g = FootballMetric(2.0)
+        i = FootballMetric(2.0, "integer", 0.0)
         for w in (0.2 + 0.1j, 1.5 - 0.8j, -2.0 + 0j):
             assert abs(g.density(w) - i.density(w)) < 1e-13
 
     def test_integer_with_offset_vanishes_at_origin(self):
-        fm = football_metric(2.0, "integer", 1.0)
+        fm = FootballMetric(2.0, "integer", 1.0)
         assert fm.density(0j) == 0.0
         assert fm.density(1e-8 + 0j) < 1e-14
 
     def test_invalid(self):
         with pytest.raises(InvalidAlpha):
-            football_metric(0.0)
+            FootballMetric(0.0)
         with pytest.raises(InvalidAlpha):
-            football_metric(-2.0)
+            FootballMetric(-2.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(InvalidAlpha):
+                FootballMetric(alpha)
         with pytest.raises(InvalidAlpha):
-            football_metric(2.5, "integer", 1.0)
+            FootballMetric(2.5, "integer", 1.0)
 
     def test_curvature_and_angles(self):
-        fm = football_metric(2.0, "integer", 1.0)
+        fm = FootballMetric(2.0, "integer", 1.0)
         pts = []
         rng = np.random.default_rng(8)
         while len(pts) < 200:

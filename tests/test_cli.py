@@ -208,6 +208,34 @@ class TestMetric:
         assert code == 3
         assert "degeneracy locus" in err
 
+    def test_hyperbolic_locus_tangent_grid_names_the_point(self, capsys):
+        # the grid touches |z| = 1 at its corner 1+0j and no edge crosses it
+        code, _, err = run(
+            capsys,
+            [
+                "metric", "--standard", "simple:lambda=1", "--K", "-1",
+                "--p0", "1,0", "--phi0", "2.0", "--grid", "1.1,0,0.1,3",
+            ],
+        )
+        assert code == 3
+        assert err.endswith("near: (1,0)\n")
+
+    def test_hyperbolic_locus_column_crossings(self, capsys):
+        # no row crosses |z| = 1 off the grid point at 1j, so every named
+        # point comes from a vertical edge
+        code, _, err = run(
+            capsys,
+            [
+                "metric", "--standard", "simple:lambda=1", "--K", "-1",
+                "--p0", "1,0", "--phi0", "2.0", "--grid=0,1,0.2,9",
+            ],
+        )
+        assert code == 3
+        names = err.rstrip("\n").partition("near: ")[2].split(", ")
+        points = [complex(*map(float, p.strip("()").split(","))) for p in names]
+        assert len(points) == 8
+        assert all(abs(abs(z) - 1.0) < 1e-5 for z in points)
+
     def test_byte_stable(self, capsys, tmp_path):
         argv = [
             "metric", "--standard", "simple:lambda=2.5", "--K", "1",

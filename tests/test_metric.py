@@ -7,13 +7,13 @@ import pytest
 from cscforge import (
     DegenerateHyperbolicPoint,
     EvalAtPole,
+    FootballMetric,
     GridSpec,
     GridTouchesSingularity,
     MetricField,
     admissible_mask,
     build_third_kind,
     exclusion_points,
-    football_metric,
     gauss_curvature_fd,
     negation_invariance_check,
     phi_field_from_a0,
@@ -79,7 +79,7 @@ class TestDensity:
 
 class TestCurvature:
     def test_round_sphere(self):
-        rep = gauss_curvature_fd(football_metric(1.0), GridSpec(0j, 0.5, 41), h=1e-3)
+        rep = gauss_curvature_fd(FootballMetric(1.0), GridSpec(0j, 0.5, 41), h=1e-3)
         assert rep.max_abs_residual < 1e-4
 
     def test_flat_plane_machine_precision(self):
@@ -119,8 +119,7 @@ class TestCurvature:
         field = phi_field_from_a0(pair_form(), 0.0)
         m = MetricField(field, K=1)
         # grid straddles the zero at 0: the core gets excluded, the rim stays
-        rep = gauss_curvature_fd(m, GridSpec(0j, 0.12, 9), h=1e-3,
-                                 exclusion_radius=0.05)
+        rep = gauss_curvature_fd(m, GridSpec(0j, 0.12, 9), h=1e-3)
         assert rep.n_excluded > 0
         assert rep.points.size + rep.n_excluded == rep.n_total
         assert all(abs(z) > 0.05 for z in rep.points)
@@ -241,7 +240,7 @@ class TestGridIO:
         field = phi_field_from_a0(pair_form(), 0.0)
         m = MetricField(field, K=1)
         with pytest.raises(GridTouchesSingularity):
-            gauss_curvature_fd(m, GridSpec(1j, 0.01, 3), exclusion_radius=0.05)
+            gauss_curvature_fd(m, GridSpec(1j, 0.01, 3))
 
     def test_suggest_grid_admissible(self, test_forms):
         for form in test_forms[:3]:

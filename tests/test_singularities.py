@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cscforge import (
     INFINITY,
     AnnulusContainsSingularity,
+    FootballMetric,
     MetricField,
     NonConicalSingularityPresent,
     build_third_kind,
@@ -16,7 +17,6 @@ from cscforge import (
     cli,
     estimate_cone_angle,
     exclusion_points,
-    football_metric,
     is_infinity,
     gauss_bonnet_check,
     phi_field_from_a0,
@@ -83,10 +83,10 @@ class TestSingularPointTable:
             assert set(exclusion_points(m)) == finite
 
     @pytest.mark.parametrize("fm", [
-        football_metric(0.5),
-        football_metric(1.0),
-        football_metric(2.5),
-        football_metric(3.0, "integer", 1.0),
+        FootballMetric(0.5),
+        FootballMetric(1.0),
+        FootballMetric(2.5),
+        FootballMetric(3.0, "integer", 1.0),
     ])
     def test_football_table(self, fm):
         # the degree and the angle come from the two cone rows, exactly
@@ -97,7 +97,7 @@ class TestSingularPointTable:
 
 class TestConeAngles:
     def test_half_cone(self):
-        fm = football_metric(0.5)
+        fm = FootballMetric(0.5)
         rep = estimate_cone_angle(fm, 0j)
         assert abs(rep.fitted_angle - math.pi) <= 0.01 * math.pi
         assert rep.conical
@@ -116,7 +116,7 @@ class TestConeAngles:
         assert not rep.conical
 
     def test_infinity_chart(self):
-        fm = football_metric(2.5)
+        fm = FootballMetric(2.5)
         rep = estimate_cone_angle(fm, INFINITY)
         assert abs(rep.fitted_angle - 5 * math.pi) <= 0.01 * 5 * math.pi
 
@@ -142,7 +142,7 @@ class TestConeAngles:
         assert not rep.conical
 
     def test_integer_family_cone(self):
-        fm = football_metric(2.0, "integer", 1.0)
+        fm = FootballMetric(2.0, "integer", 1.0)
         rep = estimate_cone_angle(fm, 0j)
         assert abs(rep.fitted_angle - 4 * math.pi) <= 0.01 * 4 * math.pi
 
@@ -201,7 +201,7 @@ class TestGaussBonnet:
         assert rep.residual < 0.01 * rep.expected_area
 
     def test_family_area_helper(self):
-        fm = football_metric(1.5)
+        fm = FootballMetric(1.5)
         area = total_metric_area(fm).area
         assert abs(area - 6 * math.pi) < 0.01 * 6 * math.pi
 
