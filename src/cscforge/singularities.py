@@ -16,9 +16,12 @@ C^infinity bump (the exp(-1/x) partition of unity) and integrating the caps
 in log-radial coordinates, where the power profile becomes a clean
 exponential decay.  The remainder is smooth and periodic in theta, so
 Gauss-Legendre in r by the trapezoid rule in theta converges geometrically
-(Trefethen & Weideman, SIAM Review 2014).  Each chart doubles its nodes until
-two successive values agree; the sum of the last gaps is reported as the
-area's error estimate, with the number of density points used.
+(Trefethen & Weideman, SIAM Review 2014).  Each piece of a chart (the
+remainder and each cap) doubles its nodes until the chart's two successive
+values agree; from the third level on, a piece that has already converged
+keeps its value.  The sum over charts of the last gaps, a kept piece's own
+last gap included, is reported as the area's error estimate, with the number
+of density points used.
 """
 
 from __future__ import annotations
@@ -242,12 +245,16 @@ def estimate_cone_angle(
 # Total area quadrature
 # ---------------------------------------------------------------------------
 
-# Per-chart doubling schedule: level k uses (n_r, n_theta) = 2^k (96, 192) on
-# the remainder and 2^k (24, 48) Gauss-Legendre nodes per panel by ring
-# samples on each cap.  A chart stops at the first level that agrees with the
-# one before to _AREA_RTOL, and at the top level whatever the agreement.
+# Doubling schedule: level k uses (n_r, n_theta) = 2^k (96, 192) on a chart's
+# remainder and 2^k (24, 48) Gauss-Legendre nodes per panel by ring samples on
+# each of its caps.  Levels 0 and 1 evaluate every piece; from level 2 on a
+# piece whose last gap is at most _PIECE_RTOL of the chart value keeps its
+# value, and that gap joins the chart's.  A chart stops at the first level
+# whose gap is within _AREA_RTOL of its value, and at the top level whatever
+# the gap.
 _AREA_LEVELS = 3
 _AREA_RTOL = 1e-6
+_PIECE_RTOL = 1e-2 * _AREA_RTOL
 
 
 @dataclass(frozen=True)
@@ -348,9 +355,13 @@ def _chart_remainder(field: DensityField, chart: str, chart_radius: float,
     pts = r[:, None] * _ring(n_theta)[None, :]
     weight = np.ones(pts.shape)
     for c, delta in caps:
-        t = np.abs(pts - c) / delta
+        # |z - c| < delta only on the rings with |r - |c|| < delta
+        rows = np.abs(r - abs(c)) < delta
+        t = np.abs(pts[rows] - c) / delta
         near = t < 1.0
-        weight[near] *= 1.0 - _bump(t[near])
+        w = weight[rows]
+        w[near] *= 1.0 - _bump(t[near])
+        weight[rows] = w
     flat = pts.ravel()
     keep = weight.ravel() > 0.0
     rho = np.zeros(flat.shape)
@@ -361,8 +372,10 @@ def _chart_remainder(field: DensityField, chart: str, chart_radius: float,
 
 def _chart_area(field: DensityField, chart: str, chart_radius: float,
                 local: List[Tuple[complex, float]]) -> Tuple[float, float, int]:
-    """Area of one chart disk, doubled per :data:`_AREA_LEVELS`: the value,
-    the gap to the level before it, and the density points used."""
+    """Area of one chart disk, doubled piece by piece per
+    :data:`_AREA_LEVELS`: the value, its gap to the level before it plus the
+    last gaps of the pieces kept from an earlier level, and the density
+    points used."""
     caps: List[Tuple[complex, float]] = []
     for i, (c, _) in enumerate(local):
         room = chart_radius - abs(c)
@@ -375,19 +388,29 @@ def _chart_area(field: DensityField, chart: str, chart_radius: float,
                 "conical points too crowded for the quadrature"
             )
         caps.append((c, delta))
+    # the pieces: the remainder, then each cap, each at a level's scale
+    pieces = [lambda s: _chart_remainder(field, chart, chart_radius, caps,
+                                         96 * s, 192 * s)]
+    pieces += [lambda s, c=c, delta=delta, a=a: _cap_area(field, chart, c, delta, a,
+                                                          24 * s, 48 * s)
+               for (c, delta), (_, a) in zip(caps, local)]
+    values = [math.nan] * len(pieces)
+    gaps = [math.nan] * len(pieces)
     nodes = 0
     prev = gap = math.nan
     for level in range(_AREA_LEVELS):
-        scale = 2**level
-        value, used = _chart_remainder(field, chart, chart_radius, caps,
-                                       96 * scale, 192 * scale)
-        nodes += used
-        for (c, delta), (_, a) in zip(caps, local):
-            cap, used = _cap_area(field, chart, c, delta, a, 24 * scale, 48 * scale)
-            value += cap
-            nodes += used
+        kept = [level >= 2 and g <= _PIECE_RTOL * abs(prev) for g in gaps]
+        for k, piece in enumerate(pieces):
+            if not kept[k]:
+                v, used = piece(2**level)
+                gaps[k] = abs(v - values[k])
+                values[k] = v
+                nodes += used
+        value = values[0]
+        for v in values[1:]:    # in order, as one running sum
+            value += v
         if level > 0:
-            gap = abs(value - prev)
+            gap = abs(value - prev) + sum(g for g, k in zip(gaps, kept) if k)
             if gap <= _AREA_RTOL * abs(value):
                 break
         prev = value
@@ -401,9 +424,11 @@ def total_metric_area(field: DensityField) -> AreaEstimate:
     chart disk.  Conical points are excised with C^infinity bumps whose caps
     are integrated in log-radial coordinates (the conical power profile
     becomes an exponential there), and the smooth remainder is integrated
-    with Gauss-Legendre in r by the trapezoid rule in theta.  Each chart
-    doubles its node counts until two successive values agree; the last gap
-    is its error estimate.
+    with Gauss-Legendre in r by the trapezoid rule in theta.  Each piece of a
+    chart doubles its node counts until the chart's two successive values
+    agree, except that from the third level on a piece whose last gap is
+    at most 1e-2 of the chart's tolerance keeps its value; the chart's last gap
+    plus the last gaps of the pieces it kept is its error estimate.
     """
     # conical points with the local exponent a (density like r^(2(a-1)))
     sing = [(i.location, i.predicted_angle / TWO_PI)

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's own evaluation paths: residues are
 checked by trapezoid contour quadrature, exactness by numeric loop
-integrals, derivatives by central differences.
+integrals, derivatives by central differences.  The one exception is the
+chart remainder, whose reference shares the library's nodes, bump and
+density and differs only in how the cap weights are laid on the grid.
 """
 
 import numpy as np
+
+from cscforge.singularities import _bump, _gauss_legendre, _ring
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,3 +36,23 @@ def loop_integral_re(form, center, radius=1e-2, nodes=4096):
 
 def central_diff(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def chart_remainder_full_grid(field, chart, chart_radius, caps, n_r, n_theta):
+    """The bump-weighted chart remainder with each cap's weight computed on
+    every point of the polar grid (Gauss-Legendre in r by the trapezoid rule
+    in theta): the reference for a weight restricted to the rings a cap can
+    reach.  Returns the value and the number of density points used."""
+    r, wr = _gauss_legendre(0.0, chart_radius, n_r)
+    pts = r[:, None] * _ring(n_theta)[None, :]
+    weight = np.ones(pts.shape)
+    for c, delta in caps:
+        t = np.abs(pts - c) / delta
+        near = t < 1.0
+        weight[near] *= 1.0 - _bump(t[near])
+    flat = pts.ravel()
+    keep = weight.ravel() > 0.0
+    rho = np.zeros(flat.shape)
+    rho[keep] = np.exp(field.log_density_many(flat[keep], chart=chart))
+    ring = (rho.reshape(pts.shape) * weight).mean(axis=1) * TWO_PI * r
+    return float(np.dot(wr, ring)), int(np.count_nonzero(keep))

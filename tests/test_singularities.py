@@ -23,7 +23,9 @@ from cscforge import (
     solve_phi_closed,
     total_metric_area,
 )
+from cscforge import singularities
 from conftest import random_real_residue_form
+from oracles import chart_remainder_full_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,6 +219,103 @@ class TestAreaQuadrature:
         assert doc["residual"] <= 1e-7 * doc["expected_area"]
         assert doc["error_estimate"] >= doc["residual"]
         assert doc["nodes"] > 0
+
+    # total_metric_area (area, nodes) on the ten-form corpus before pieces
+    # were kept, recorded with numpy 2.4.6 on x86-64 with AVX-512 (numpy's
+    # SIMD exp and log may round differently elsewhere).  The six standard
+    # forms stop by the second level in both charts; the four random forms
+    # reach the third.
+    BEFORE_KEPT_PIECES = (
+        (31.415926545457243, 160128),
+        (12.56637061435917, 184320),
+        (25.132741272779857, 160128),
+        (37.699111851203455, 160128),
+        (25.132741231763536, 160128),
+        (37.69911184539911, 160128),
+    )
+    BEFORE_KEPT_PIECES_THIRD_LEVEL = (
+        (62.9242293689221, 574432),
+        (68.9424520115695, 749298),
+        (68.9210990084704, 953341),
+        (63.44700778490584, 849824),
+    )
+
+    def test_corpus_areas_against_the_full_doubling(self, test_forms):
+        # charts that stop by the second level are bit-identical; a chart
+        # that reaches the third keeps its converged pieces, which moves its
+        # area only by rounding and uses fewer density points
+        before = self.BEFORE_KEPT_PIECES + self.BEFORE_KEPT_PIECES_THIRD_LEVEL
+        for k, (form, (area, nodes)) in enumerate(zip(test_forms, before)):
+            est = total_metric_area(MetricField(solve_phi_closed(form, None, 2.0), K=1))
+            if k < len(self.BEFORE_KEPT_PIECES):
+                assert (est.area, est.nodes) == (area, nodes)
+            else:
+                assert abs(est.area - area) <= 1e-13 * area
+                assert est.nodes < nodes
+
+    @staticmethod
+    def _record_pieces(monkeypatch):
+        """Spy on the piece integrators: per chart, the remainder's radius and
+        caps, the caps' (center, delta, exponent) in order and the highest
+        doubling level evaluated."""
+        charts = {}
+        rem, cap = singularities._chart_remainder, singularities._cap_area
+
+        def spy_rem(field, chart, radius, caps, n_r, n_theta):
+            entry = charts.setdefault(chart, {"caps": [], "level": 0})
+            entry.update(field=field, radius=radius, disks=caps)
+            entry["level"] = max(entry["level"], n_r // 96)
+            return rem(field, chart, radius, caps, n_r, n_theta)
+
+        def spy_cap(field, chart, c, delta, a, n_gl, n_theta):
+            entry = charts[chart]
+            if (c, delta, a) not in entry["caps"]:
+                entry["caps"].append((c, delta, a))
+            entry["level"] = max(entry["level"], n_gl // 24)
+            return cap(field, chart, c, delta, a, n_gl, n_theta)
+
+        monkeypatch.setattr(singularities, "_chart_remainder", spy_rem)
+        monkeypatch.setattr(singularities, "_cap_area", spy_cap)
+        return charts, rem, cap
+
+    def test_kept_pieces_match_the_full_level(self, monkeypatch):
+        # every piece of every chart evaluated at each level up to the
+        # chart's last: the kept pieces change the area only by rounding
+        charts, rem, cap = self._record_pieces(monkeypatch)
+        form = random_real_residue_form(101, 4)
+        rep = gauss_bonnet_check(MetricField(solve_phi_closed(form, None, 2.0), K=1))
+        assert max(e["level"] for e in charts.values()) == 4
+        full_area, full_nodes = 0.0, 0
+        for chart, e in charts.items():
+            for scale in (s for s in (1, 2, 4) if s <= e["level"]):
+                value, used = rem(e["field"], chart, e["radius"], e["disks"],
+                                  96 * scale, 192 * scale)
+                full_nodes += used
+                for c, delta, a in e["caps"]:
+                    piece, used = cap(e["field"], chart, c, delta, a, 24 * scale, 48 * scale)
+                    value += piece
+                    full_nodes += used
+            full_area += value
+        assert abs(rep.total_area - full_area) <= 1e-13 * full_area
+        assert rep.nodes < full_nodes
+        assert rep.error_estimate >= rep.residual
+
+    def test_remainder_weights_against_the_full_grid(self, monkeypatch):
+        # each cap's bump weight is laid only on the rings it can reach; the
+        # full-grid reference gives the same value and count, bit for bit
+        form = random_real_residue_form(101, 4)
+        charts, _, _ = self._record_pieces(monkeypatch)
+        total_metric_area(MetricField(solve_phi_closed(form, None, 2.0), K=1))
+        chart, top = next((ch, e) for ch, e in charts.items() if e["level"] == 4)
+        football = FootballMetric(1.5)
+        cases = [
+            (top["field"], chart, top["radius"], top["disks"], 384, 768),
+            (football, "z", 1.0, [(0j, 0.3)], 96, 192),
+            (football, "z", 1.0, [(0j, 0.3), (0.8j, 0.2)], 192, 384),
+        ]
+        for field, chart, radius, caps, n_r, n_theta in cases:
+            args = (field, chart, radius, caps, n_r, n_theta)
+            assert singularities._chart_remainder(*args) == chart_remainder_full_grid(*args)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_poles=st.integers(4, 6))
