@@ -47,6 +47,7 @@ from .metric import (
     MetricField,
     gauss_curvature_fd,
     negation_invariance_check,
+    sample_points_avoiding,
     suggest_grid,
     write_density_grid,
 )
@@ -434,13 +435,21 @@ def cmd_verify(args) -> int:
         except (PatternMismatch, ResidueMismatch):
             return {"applicable": False, "pass": True}
         a0_std = a0_in_standard_coordinates(case, field.phi.a0)
-        _, football = reduce_to_football(case, a0_std)
+        p, football = reduce_to_football(case, a0_std)
+        # z = c w carries the family's coordinates to the form's, so the
+        # field density at c w times |c|^2 is the family density at w
+        c = case.scale * p
+        ws = sample_points_avoiding([z / c for z in exclusion_points(field)], 100, 20201)
+        gap = float(np.max(np.abs(np.exp(football.log_density_many(ws))
+                                   - np.exp(field.log_density_many(c * ws)) * abs(c) ** 2)))
         return {
             "applicable": True,
             "case": case.case,
             "alpha": case.alpha,
             "b": football.b if football.variant == "integer" else None,
-            "pass": True,
+            "max_density_gap": gap,
+            "tolerance": 1e-9,
+            "pass": bool(gap < 1e-9),
         }
 
     jobs = [("curvature", check_curvature)]

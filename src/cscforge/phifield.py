@@ -12,8 +12,9 @@ RK4 integrator along polylines serves as its oracle.  It steps at 4, 2, 1
 and 1/2 times its ``step`` argument, stopping at the first two runs that
 agree to 1e-2 of the agreement tolerance, and carries the smaller of Phi
 and 4 - Phi so that saturation near a pole keeps its digits.  The pole sum
-that drives it is evaluated with numpy at each run's half-step nodes, in
-bounded blocks, and only the scalar RK4 update runs in Python.
+that drives it is evaluated with numpy at each run's half-step nodes, one
+pass for all of a run's nodes of a kind, and only the scalar RK4 update
+runs in Python.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Sequence, Tuple, Union
+from itertools import islice
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -97,7 +98,8 @@ def _checked_base_point(form: MeromorphicOneForm, p0: complex | None) -> complex
     :data:`DEFAULT_BASE_POINTS` off the poles, and refuse a pole."""
     require_hypotheses(form)
     if p0 is None:
-        p0 = next((c for c in DEFAULT_BASE_POINTS if form.min_pole_distance(c) > 1e-9), None)
+        p0 = next((c for c in DEFAULT_BASE_POINTS
+                   if form.min_pole_distance(c) > 1e-9 * max(1.0, abs(c))), None)
     if p0 is None:
         raise BasePointIsPole("all default base points are poles of the form")
     p0 = complex(p0)
@@ -151,9 +153,6 @@ def phi_limit_at_pole(field: PhiField, pole: Union[int, Point]) -> float:
     return 0.0 if entry.residue.real > 0 else 4.0
 
 
-_BLOCK = 256  # RK4 steps (two nodes each) per numpy pass of the pole sum
-
-
 def _segment_pole_distances(z0: np.ndarray, dz: np.ndarray, locs: np.ndarray) -> np.ndarray:
     """Distance from each segment ``z0[k] -> z0[k] + dz[k]`` (rows) to each
     pole location (columns)."""
@@ -173,37 +172,6 @@ def _drive(pole_data, z: np.ndarray, dz: np.ndarray) -> list:
     for a, lam in pole_data:
         acc += lam / (z - a)
     return (0.5 * (acc * dz).real).tolist()
-
-
-def _step_drives(pole_data, z0s: np.ndarray, dzs: np.ndarray, counts: Sequence[int]):
-    """Yield ``(mids, rights)``: the drive at the midpoint z0 + (i h + h/2) dz
-    and the right end z0 + (i h + h) dz of step i of every segment (h = 1/n
-    for its n steps), in path order, at most ``_BLOCK`` steps per block."""
-    hs = np.array([1.0 / n for n in counts])
-
-    def block(pieces):
-        # pieces: (segment, first step less its place in the block, steps)
-        seg, shift, steps = (np.array(c) for c in zip(*pieces))
-        seg = np.repeat(seg, steps)
-        i = np.arange(len(seg), dtype=float) + np.repeat(shift, steps)
-        h, z0, dz = hs[seg], z0s[seg], dzs[seg]
-        base = i * h
-        return (_drive(pole_data, z0 + (base + 0.5 * h) * dz, dz),
-                _drive(pole_data, z0 + (base + h) * dz, dz))
-
-    pieces: list[Tuple[int, float, int]] = []
-    size = 0
-    for k, n in enumerate(counts):
-        i0 = 0
-        while i0 < n:
-            take = min(n - i0, _BLOCK - size)
-            pieces.append((k, float(i0 - size), take))
-            size, i0 = size + take, i0 + take
-            if size == _BLOCK:
-                yield block(pieces)
-                pieces, size = [], 0
-    if pieces:
-        yield block(pieces)
 
 
 def integrate_phi_along_path(
@@ -230,14 +198,16 @@ def integrate_phi_along_path(
     rounding Phi to 4.
 
     Each run evaluates the pole sum of its drive with numpy at the run's
-    half-step nodes (segment starts, step midpoints, step ends), in blocks
-    of at most 512 nodes consumed in path order, and leaves only the
-    scalar RK4 update to Python.  The clearance of every segment from every
-    pole is one numpy pass; the first (segment, pole) pair in path and pole
-    order that is too close raises :class:`PathTooCloseToPole`.  Serves as
-    the independent oracle for the closed form and must not use it: the
-    pole sum is its own, over ``form.poles``.  Raises
-    :class:`HypothesesFailed` on forms the closed form rejects too.
+    half-step nodes, one pass each for the segment starts, all step
+    midpoints and all step ends, and leaves only the scalar RK4 update to
+    Python; the step floor stops the doubling within three rounds, so a
+    run takes fewer than 2 / step steps plus eight per segment.  The
+    clearance of every segment from every pole is one numpy pass; the
+    first (segment, pole) pair in path and pole order that is too close
+    raises :class:`PathTooCloseToPole`.  Serves as the independent oracle
+    for the closed form and must not use it: the pole sum is its own, over
+    ``form.poles``.  Raises :class:`HypothesesFailed` on forms the closed
+    form rejects too.
     """
     require_hypotheses(form)
     phi_start = float(phi_start)
@@ -271,18 +241,19 @@ def integrate_phi_along_path(
         # most 2 before each step; 4 - v is exact there, so nothing is lost.
         # rhs(s, phi) = phi (4 - phi) / 4 * 2 Re(eta(z(s)) dz); the drive
         # 0.5 Re(eta dz) at each segment's start and at each step's midpoint
-        # and right end is evaluated with numpy, a block at a time
-        starts = chain.from_iterable(
-            _drive(pole_data, z0s[lo:lo + _BLOCK], dzs[lo:lo + _BLOCK])
-            for lo in range(0, len(z0s), _BLOCK)
-        )
-        steps = chain.from_iterable(
-            zip(mids, rights) for mids, rights in _step_drives(pole_data, z0s, dzs, counts)
-        )
+        # z0 + (i h + h/2) dz and right end z0 + (i h + h) dz (h = 1/n for
+        # the segment's n steps) is evaluated with numpy in one pass each
+        i = np.concatenate([np.arange(n, dtype=float) for n in counts])
+        hs = np.repeat([1.0 / n for n in counts], counts)
+        z0, dz = np.repeat(z0s, counts), np.repeat(dzs, counts)
+        base = i * hs
+        starts = _drive(pole_data, z0s, dzs)
+        steps = zip(_drive(pole_data, z0 + (base + 0.5 * hs) * dz, dz),
+                    _drive(pole_data, z0 + (base + hs) * dz, dz))
         v, sign = phi_start, 1.0
-        for n in counts:
+        for n, start in zip(counts, starts):
             h = 1.0 / n
-            w_right = sign * next(starts)
+            w_right = sign * start
             for mid, right in islice(steps, n):
                 if v > 2.0:
                     v, sign, w_right = 4.0 - v, -sign, -w_right

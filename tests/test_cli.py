@@ -373,6 +373,25 @@ class TestVerify:
         assert doc["pass"] is True
         assert doc["checks"]["classification"]["applicable"] is True
 
+    def test_classification_compares_densities(self, capsys, monkeypatch):
+        # unit:alpha=3 moved by z = (3+4i) w
+        std = standard_form(cli._parse_standard("unit:alpha=3"))
+        form = json.dumps(form_to_json(
+            build_third_kind([((3 + 4j) * a, lam) for a, lam in std.poles])))
+        code, out, _ = run(capsys, ["verify", "--form", form, "--K", "1"])
+        assert code == 0
+        entry = json.loads(out)["checks"]["classification"]
+        assert entry["tolerance"] == 1e-9
+        assert entry["max_density_gap"] < 1e-9
+        # without the log |scale| term the constant lands on another family
+        # member, and the densities part
+        monkeypatch.setattr(cli, "a0_in_standard_coordinates", lambda case, a0: a0)
+        code, out, _ = run(capsys, ["verify", "--form", form, "--K", "1"])
+        assert code == 4
+        entry = json.loads(out)["checks"]["classification"]
+        assert entry["pass"] is False
+        assert entry["max_density_gap"] > 1.0
+
     def test_corrupted_density_fails(self, capsys, monkeypatch):
         original = MetricField.log_density_many
         monkeypatch.setattr(

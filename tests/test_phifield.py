@@ -20,6 +20,7 @@ from cscforge import (
     phi_limit_at_pole,
     solve_phi_closed,
 )
+from cscforge import phifield
 
 
 def power_form(alpha):
@@ -58,6 +59,13 @@ class TestClosedForm:
     def test_base_point_is_pole(self):
         with pytest.raises(BasePointIsPole):
             solve_phi_closed(power_form(1.0), 0j, 2.0)
+
+    def test_default_base_point_skips_what_it_would_refuse(self):
+        # 2+0j is 1.5e-9 from a pole: farther than 1e-9, but within the
+        # 1e-9 * |p0| that refuses a base point, so the default moves on
+        form = build_third_kind([(1 + 0j, 1.0), (2 + 1.5e-9j, 1.0)])
+        assert solve_phi_closed(form).p0 == 1 + 1j
+        assert phi_field_from_a0(form, 0.0).p0 == 1 + 1j
 
     def test_hypotheses_gate(self):
         with pytest.raises(HypothesesFailed):
@@ -212,6 +220,22 @@ class TestPathOracle:
         poles, path, start, want = self.GOLDEN[name]
         out = integrate_phi_along_path(build_third_kind(poles), path, start)
         assert abs(out - want) < 1e-13
+
+    def test_one_pole_sum_per_node_kind(self, monkeypatch):
+        # each run sums the poles once over its segment starts, once over
+        # all step midpoints and once over all right ends; the pair takes
+        # 2,500 + 5,000 RK4 steps
+        original, calls = phifield._drive, []
+
+        def counted(pole_data, z, dz):
+            calls.append(len(z))
+            return original(pole_data, z, dz)
+
+        monkeypatch.setattr(phifield, "_drive", counted)
+        poles, path, start, want = self.GOLDEN["clear pair"]
+        out = integrate_phi_along_path(build_third_kind(poles), path, start)
+        assert abs(out - want) < 1e-13
+        assert calls == [1, 2500, 2500, 1, 5000, 5000]
 
     def test_independent_of_form_evaluation(self, monkeypatch):
         form = build_third_kind(self.THREE_POLES)
