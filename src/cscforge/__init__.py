@@ -33,7 +33,6 @@ from .errors import (
     BadInitialValue,
     BasePointIsPole,
     CscForgeError,
-    DegenerateA,
     DegenerateHyperbolicPoint,
     DuplicatePole,
     EvalAtPole,
@@ -59,7 +58,6 @@ from .forms import (
     check_hypotheses,
     form_from_json,
     form_to_json,
-    potential_f,
 )
 from .metric import (
     CurvatureReport,
@@ -75,7 +73,6 @@ from .phifield import (
     PhiField,
     integrate_phi_along_path,
     phi_field_from_a0,
-    phi_limit_at_pole,
     solve_phi_closed,
 )
 from .singularities import (
@@ -88,6 +85,5 @@ from .singularities import (
     estimate_cone_angle,
     exclusion_points,
     gauss_bonnet_check,
-    singular_point_info,
     total_metric_area,
 )

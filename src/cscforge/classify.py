@@ -32,7 +32,6 @@ import numpy as np
 
 from .algebra import INFINITY, ComplexPolynomial, ExactComplex
 from .errors import (
-    DegenerateA,
     InvalidAlpha,
     InvalidCaseData,
     NotMonomialIdentity,
@@ -319,9 +318,6 @@ class FootballMetric:
             )
         raise ValueError("chart must be 'z' or 'w'")
 
-    def density(self, w: complex) -> float:
-        return float(np.exp(self.log_density_many(np.array([complex(w)]))[0]))
-
     @cached_property
     def singular_points(self) -> Tuple[SingularPointInfo, ...]:
         """The two cones, at 0 and at infinity.  At alpha = 1 they are
@@ -363,8 +359,6 @@ def reduce_to_football(case: StandardFormCase, a0: float
         b = math.exp(a0 / 2.0)
         return p, FootballMetric(float(alpha), "integer", b)
     a = complex(case.a)
-    if abs(a) < 1e-12 or abs(a - 1.0) < 1e-12:
-        raise DegenerateA("constant a degenerates to 0 or 1")
     lam2 = math.exp(a0)  # square of the scale constant
     shift = a + lam2
     modulus = math.sqrt(lam2) * abs(a - 1.0) / (1.0 + lam2)
@@ -373,9 +367,6 @@ def reduce_to_football(case: StandardFormCase, a0: float
         b = 0.0
     else:
         p_alpha = modulus * shift / abs(shift)
-        b_c = shift / (p_alpha * (1.0 + lam2))
-        if abs(b_c.imag) > 1e-12 * max(1.0, abs(b_c)):
-            raise DegenerateA("family constant failed to come out real")
-        b = b_c.real
+        b = (shift / (p_alpha * (1.0 + lam2))).real
     p = _canonical_scale(p_alpha, alpha)
     return p, FootballMetric(float(alpha), "integer", b)

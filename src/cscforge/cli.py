@@ -52,12 +52,7 @@ from .metric import (
     write_density_grid,
 )
 from .phifield import PhiField, solve_phi_closed
-from .singularities import (
-    classify_singular_points,
-    estimate_cone_angle,
-    exclusion_points,
-    gauss_bonnet_check,
-)
+from .singularities import estimate_cone_angle, exclusion_points, gauss_bonnet_check
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -91,8 +86,10 @@ def _parse_complex(value) -> complex:
 def _parse_grid(text: str) -> GridSpec:
     cx, cy, half, n = text.split(",")
     grid = GridSpec(complex(float(cx), float(cy)), float(half), int(n))
-    if not (cmath.isfinite(grid.center) and math.isfinite(grid.half_width)) or grid.n < 1:
-        raise ValueError(f"grid {text!r} needs a finite center and half-width and n >= 1")
+    # the span 2 half and the extreme coordinates |c| + half must not overflow
+    c, w = grid.center, abs(grid.half_width)
+    if not all(map(math.isfinite, (2.0 * w, abs(c.real) + w, abs(c.imag) + w))) or grid.n < 1:
+        raise ValueError(f"grid {text!r} needs finite points and n >= 1")
     return grid
 
 
@@ -327,7 +324,7 @@ def cmd_angles(args) -> int:
             raise ValueError(f"radii {args.radii!r} are not finite")
         radii = np.geomspace(float(lo), float(hi), int(n))
     reports = []
-    for info in classify_singular_points(form, field.K):
+    for info in field.singular_points:
         rep = estimate_cone_angle(field, info.location, radii)
         reports.append(_angle_report_json(rep))
     _emit(args, _dump({"angles": reports}))
@@ -392,7 +389,7 @@ def cmd_verify(args) -> int:
     def check_angles():
         angle_entries = []
         angles_ok = True
-        for info in classify_singular_points(form, field.K):
+        for info in field.singular_points:
             rep = estimate_cone_angle(field, info.location)
             entry = _angle_report_json(rep)
             if info.predicted_angle is not None:
@@ -422,7 +419,7 @@ def cmd_verify(args) -> int:
     def check_negation():
         phi0 = float(args.phi0)
         start = phi0 if phi0 != 2.0 else 1.5
-        neg = negation_invariance_check(form, None, min(start, 4.0 - start))
+        neg = negation_invariance_check(form, min(start, 4.0 - start))
         return {
             "max_discrepancy": neg,
             "tolerance": 1e-10,

@@ -78,9 +78,5 @@ class ResidueMismatch(CscForgeError):
     """The residues of the form do not match the expected pattern."""
 
 
-class DegenerateA(CscForgeError):
-    """The two-parameter standard case degenerates for a in {0, 1}."""
-
-
 class InvalidAlpha(CscForgeError):
     """Cone parameter out of range for the requested metric family."""

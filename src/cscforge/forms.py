@@ -43,7 +43,6 @@ __all__ = [
     "ExactnessReport",
     "build_third_kind",
     "check_hypotheses",
-    "potential_f",
     "form_to_json",
     "form_from_json",
 ]
@@ -81,13 +80,6 @@ class MeromorphicOneForm:
         return np.array([a for a, _ in self.poles], dtype=complex)
 
     # -- evaluation (the pole part; see the module docstring) ---------------
-
-    def eta_at(self, z: complex) -> complex:
-        z = complex(z)
-        acc = 0j
-        for (a, lam) in self.poles:
-            acc += lam / (z - a)
-        return acc
 
     def potential_and_log_eta(self, zs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The potential and log|eta| at a 1-D array of points, from one pass
@@ -365,12 +357,6 @@ def require_hypotheses(form: MeromorphicOneForm) -> None:
     report = check_hypotheses(form)
     if not report.ok:
         raise HypothesesFailed("; ".join(report.diagnostics) or "hypotheses failed")
-
-
-def potential_f(form: MeromorphicOneForm, z: complex) -> float:
-    """The real potential at ``z``; requires the hypotheses to hold."""
-    require_hypotheses(form)
-    return form.potential(z)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ import numpy as np
 from .errors import DegenerateHyperbolicPoint, GridTouchesSingularity
 from .forms import MeromorphicOneForm
 from .phifield import PhiField, solve_phi_closed
-from .singularities import SingularPointInfo, admissible_mask, exclusion_points, singular_point_info
+from .singularities import (
+    SingularPointInfo,
+    admissible_mask,
+    classify_singular_points,
+    exclusion_points,
+)
 
 __all__ = [
     "DensityField",
@@ -104,7 +109,7 @@ class MetricField:
     @cached_property
     def singular_points(self) -> Tuple[SingularPointInfo, ...]:
         """The angle rules applied to every zero and pole of the form."""
-        return tuple(singular_point_info(p, self.K) for p in self.form.singular_points)
+        return tuple(classify_singular_points(self.form, self.K))
 
     # -- evaluation --------------------------------------------------------
 
@@ -230,16 +235,12 @@ def sample_points_avoiding(excluded: Sequence[complex], n: int, seed: int) -> np
     return np.array(out, dtype=complex)
 
 
-def negation_invariance_check(
-    form: MeromorphicOneForm,
-    p0: complex | None = None,
-    phi0: float = 1.5,
-) -> float:
+def negation_invariance_check(form: MeromorphicOneForm, phi0: float = 1.5) -> float:
     """Largest pointwise K = 1 density discrepancy between the field of
-    ``(form, phi0)`` and that of ``(-form, 4 - phi0)`` with the same base
-    point, over 100 seeded points.  The two describe the same metric, so
-    this should vanish."""
-    field_a = MetricField(solve_phi_closed(form, p0, phi0), K=1)
+    ``(form, phi0)`` and that of ``(-form, 4 - phi0)`` with the same default
+    base point, over 100 seeded points.  The two describe the same metric,
+    so this should vanish."""
+    field_a = MetricField(solve_phi_closed(form, None, phi0), K=1)
     neg = form.negated()
     field_b = MetricField(solve_phi_closed(neg, field_a.phi.p0, 4.0 - phi0), K=1)
     pts = sample_points_avoiding(exclusion_points(field_a), 100, 20201)

@@ -23,11 +23,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import Point
 from .errors import (
     BadInitialValue,
     BasePointIsPole,
@@ -40,7 +39,6 @@ __all__ = [
     "PhiField",
     "solve_phi_closed",
     "phi_field_from_a0",
-    "phi_limit_at_pole",
     "integrate_phi_along_path",
     "DEFAULT_BASE_POINTS",
 ]
@@ -138,19 +136,6 @@ def phi_field_from_a0(
     if not (0.0 < phi0 < 4.0):
         raise BadInitialValue("constant so extreme the initial value saturates")
     return PhiField(form, p0, phi0, float(a0))
-
-
-def phi_limit_at_pole(field: PhiField, pole: Union[int, Point]) -> float:
-    """Continuous extension value of the field at a pole: 0 for positive
-    residue, 4 for negative.  ``pole`` may be a pole location,
-    :data:`INFINITY`, or an index into the form's pole list."""
-    form = field.form
-    if isinstance(pole, int) and not isinstance(pole, bool):
-        pole = form.poles[pole][0]
-    entry = form.singular_point_at(pole)
-    if entry is None or entry.weight != -1:
-        raise ValueError(f"{pole!r} is not a simple pole of the form")
-    return 0.0 if entry.residue.real > 0 else 4.0
 
 
 def _segment_pole_distances(z0: np.ndarray, dz: np.ndarray, locs: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ __all__ = [
     "ConeAngleReport",
     "GaussBonnetReport",
     "AreaEstimate",
-    "singular_point_info",
     "classify_singular_points",
     "exclusion_points",
     "admissible_mask",
@@ -99,7 +98,7 @@ class GaussBonnetReport:
         return TWO_PI * (self.chi + self.deg_d) / self.K
 
 
-def singular_point_info(point: SingularPoint, K: int) -> SingularPointInfo:
+def _singular_point_info(point: SingularPoint, K: int) -> SingularPointInfo:
     """Apply the angle rules to one zero or simple pole of a form.
 
     Zeros of order m get angle ``2 pi (m + 1)``.  Simple poles get angle
@@ -125,11 +124,11 @@ def singular_point_info(point: SingularPoint, K: int) -> SingularPointInfo:
 def classify_singular_points(
     form: MeromorphicOneForm, K: int
 ) -> List[SingularPointInfo]:
-    """The angle rules of :func:`singular_point_info` applied to every zero
+    """The angle rules of :func:`_singular_point_info` applied to every zero
     and pole of a form that satisfies the hypotheses (so every pole is
     simple)."""
     require_hypotheses(form)
-    return [singular_point_info(p, K) for p in form.singular_points]
+    return [_singular_point_info(p, K) for p in form.singular_points]
 
 
 def exclusion_points(field: DensityField) -> Tuple[complex, ...]:

@@ -2,16 +2,40 @@
 
 These deliberately avoid the library's own evaluation paths: residues are
 checked by trapezoid contour quadrature, exactness by numeric loop
-integrals, derivatives by central differences.  The one exception is the
-chart remainder, whose reference shares the library's nodes, bump and
+integrals, derivatives by central differences, eta by a plain pole sum and
+the field's value at a pole by the sign of its residue.  The exceptions are
+``density_at``, one point through a field's own ``log_density_many``, and
+the chart remainder, whose reference shares the library's nodes, bump and
 density and differs only in how the cap weights are laid on the grid.
 """
 
 import numpy as np
 
+from cscforge import is_infinity
 from cscforge.singularities import _bump, _gauss_legendre, _ring
 
 TWO_PI = 2.0 * np.pi
+
+
+def eta(form, z):
+    """The pole part of the form at ``z``: sum lambda_i/(z - a_i)."""
+    return sum(lam / (complex(z) - a) for a, lam in form.poles)
+
+
+def pole_limit(form, pole):
+    """The field's value at a simple pole: 0 where the residue is positive,
+    4 where it is negative; at infinity the residue is minus the sum of the
+    finite ones."""
+    if is_infinity(pole):
+        lam = -sum(lam for _, lam in form.poles)
+    else:
+        lam = next(lam for a, lam in form.poles if a == pole)
+    return 0.0 if lam.real > 0 else 4.0
+
+
+def density_at(field, z):
+    """The density of a field at one point."""
+    return float(np.exp(field.log_density_many(np.array([complex(z)]))[0]))
 
 
 def contour_residue(func, center, radius=1e-2, nodes=4096):

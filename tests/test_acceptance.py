@@ -25,7 +25,6 @@ from cscforge import (
     negation_invariance_check,
     normalize_form,
     phi_field_from_a0,
-    phi_limit_at_pole,
     reduce_to_football,
     solve_phi_closed,
     standard_form,
@@ -33,6 +32,7 @@ from cscforge import (
     gauss_curvature_fd,
     wronskian_identity_check,
 )
+from oracles import density_at, pole_limit
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,14 +141,14 @@ def test_criterion_3_pole_limits(test_forms):
     directions = (1.0, 1j, -1.0, -1j)
     for form in test_forms:
         field = solve_phi_closed(form, None, 2.0)
-        for idx, (a, _) in enumerate(form.poles):
-            limit = phi_limit_at_pole(field, idx)
+        for a, _ in form.poles:
+            limit = pole_limit(form, a)
             for d in directions:
                 err = abs(field.value(a + 1e-6 * d) - limit)
                 worst = max(worst, err)
                 assert err < 1e-6, f"pole {a}: |phi - {limit}| = {err:.2e}"
         if form.infinity_pole_order() == 1:
-            limit = phi_limit_at_pole(field, INFINITY)
+            limit = pole_limit(form, INFINITY)
             for d in directions:
                 err = abs(field.value(1.0 / (1e-6 * d)) - limit)
                 worst = max(worst, err)
@@ -293,7 +293,7 @@ def test_criterion_7_family_reductions():
             if form.min_pole_distance(p * w) < 0.1:
                 continue
             checked += 1
-            err = abs(fm.density(w) - field.density(p * w) * abs(p) ** 2)
+            err = abs(density_at(fm, w) - field.density(p * w) * abs(p) ** 2)
             worst = max(worst, err)
             assert err < 1e-9, f"{case.case} a0={a0:.3f}: density gap {err:.2e} at {w}"
     _report(7, "family reductions", True,
@@ -309,7 +309,7 @@ def test_criterion_7_family_reductions():
 def test_criterion_8_negation_invariance(test_forms):
     worst = 0.0
     for form in test_forms:
-        gap = negation_invariance_check(form, None, 1.3)
+        gap = negation_invariance_check(form, 1.3)
         worst = max(worst, gap)
         assert gap < 1e-10
     _report(8, "negation invariance", True,

@@ -1,6 +1,5 @@
 import cmath
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from cscforge import (
     INFINITY,
     ComplexPolynomial,
-    DegenerateA,
     ExactComplex,
     FootballMetric,
     InvalidAlpha,
@@ -31,7 +29,7 @@ from cscforge import (
     wronskian_identity_check,
 )
 
-from oracles import contour_residue
+from oracles import contour_residue, density_at, eta
 
 
 class TestStandardForm:
@@ -46,7 +44,7 @@ class TestStandardForm:
         for a, lam in form.poles:
             assert abs(lam - 1.0) < 1e-14
             assert abs(a**3 + 1.0) < 1e-12
-            assert abs(contour_residue(form.eta_at, a) - 1.0) < 1e-10
+            assert abs(contour_residue(lambda z: eta(form, z), a) - 1.0) < 1e-10
         assert abs(form.residue_at_infinity() + 3.0) < 1e-12
 
     def test_plus_minus(self):
@@ -162,8 +160,8 @@ class TestNormalize:
         scaled = build_third_kind([(p * a, lam) for a, lam in std.poles])
         case = normalize_form(scaled)
         for a, _ in scaled.poles:
-            r_in = contour_residue(scaled.eta_at, a)
-            r_std = contour_residue(std.eta_at, a / case.scale)
+            r_in = contour_residue(lambda z: eta(scaled, z), a)
+            r_std = contour_residue(lambda z: eta(std, z), a / case.scale)
             assert abs(r_in - r_std) < 1e-9
 
     @given(
@@ -211,18 +209,18 @@ class TestFootballMetric:
     def test_round_sphere_limit(self):
         fm = FootballMetric(1.0)
         w = 0.3 + 0.4j
-        assert abs(fm.density(w) - 4.0 / (1 + abs(w) ** 2) ** 2) < 1e-14
+        assert abs(density_at(fm, w) - 4.0 / (1 + abs(w) ** 2) ** 2) < 1e-14
 
     def test_integer_b0_matches_generic(self):
         g = FootballMetric(2.0)
         i = FootballMetric(2.0, "integer", 0.0)
         for w in (0.2 + 0.1j, 1.5 - 0.8j, -2.0 + 0j):
-            assert abs(g.density(w) - i.density(w)) < 1e-13
+            assert abs(density_at(g, w) - density_at(i, w)) < 1e-13
 
     def test_integer_with_offset_vanishes_at_origin(self):
         fm = FootballMetric(2.0, "integer", 1.0)
-        assert fm.density(0j) == 0.0
-        assert fm.density(1e-8 + 0j) < 1e-14
+        assert density_at(fm, 0j) == 0.0
+        assert density_at(fm, 1e-8 + 0j) < 1e-14
 
     def test_invalid(self):
         with pytest.raises(InvalidAlpha):
@@ -275,10 +273,23 @@ class TestReduceToFootball:
         assert abs(abs(p) ** 2 - 0.5) < 1e-14
         assert abs(fm.b - 3.0) < 1e-12
 
-    def test_degenerate_a(self):
-        bogus = SimpleNamespace(case="plus_minus", alpha=2, a=1.0 + 0j, scale=1.0)
-        with pytest.raises(DegenerateA):
-            reduce_to_football(bogus, 0.0)
+    @pytest.mark.parametrize("a0", [0.0, 0.7])
+    def test_plus_minus_zero_shift(self, a0):
+        # a = -e^a0 makes the shift a + e^a0 vanish, and the family constant
+        # b is 0 exactly
+        case = StandardFormCase("plus_minus", 3, a=complex(-math.exp(a0)))
+        p, fm = reduce_to_football(case, a0)
+        assert fm.b == 0.0 and fm.variant == "integer"
+        form = standard_form(case)
+        m = MetricField(phi_field_from_a0(form, a0), K=1)
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 50:
+            w = complex(rng.uniform(0.25, 1.8) * np.exp(2j * np.pi * rng.uniform()))
+            if form.min_pole_distance(p * w) < 0.1:
+                continue
+            checked += 1
+            assert abs(density_at(fm, w) - m.density(p * w) * abs(p) ** 2) < 1e-9
 
     def test_pipeline_equality(self):
         case = StandardFormCase("plus_minus", 3, a=-1.5 + 0.8j)
@@ -293,4 +304,4 @@ class TestReduceToFootball:
             if form.min_pole_distance(p * w) < 0.1:
                 continue
             checked += 1
-            assert abs(fm.density(w) - m.density(p * w) * abs(p) ** 2) < 1e-9
+            assert abs(density_at(fm, w) - m.density(p * w) * abs(p) ** 2) < 1e-9

@@ -449,6 +449,17 @@ class TestNumericSettings:
         assert (code, out) == (1, "")
         assert err.startswith("parse error:")
 
+    @pytest.mark.parametrize("grid", ["0,0,1e308,3", "1.7e308,0,1e307,3"],
+                             ids=["span", "corner"])
+    @pytest.mark.parametrize("argv", [["phi"], ["metric", "--K", "1"], ["verify", "--K", "1"]],
+                             ids=["phi", "metric", "verify"])
+    def test_grid_points_overflow(self, capsys, argv, grid):
+        # a finite center and half-width whose span 2 half, or whose corner
+        # |c| + half, overflows
+        code, out, err = run(capsys, argv + ["--standard", "unit:alpha=3", "--grid", grid])
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: grid")
+
     @pytest.mark.parametrize("job", [
         {"K": 1.5, "at": ["1,1"]},
         {"p0": math.nan, "at": ["1,1"]},

@@ -12,28 +12,29 @@ from cscforge import (
     check_hypotheses,
     form_from_json,
     form_to_json,
-    potential_f,
+    solve_phi_closed,
 )
 
-from oracles import loop_integral_re
+from oracles import eta, loop_integral_re
 
 
 class TestBuild:
     def test_single_pole(self):
         form = build_third_kind([(0j, 0.7 + 0j)])
-        assert abs(form.eta_at(2.0) - 0.35) < 1e-14
+        _, log_abs_eta = form.potential_and_log_eta(np.array([2.0 + 0j]))
+        assert abs(np.exp(log_abs_eta[0]) - 0.35) < 1e-14
 
     def test_unit_residue_pair(self):
         form = build_third_kind([(1j, 1.0), (-1j, 1.0)])
         zs = np.array([0.3 + 0.2j, 2.0 - 1.0j, -0.7 + 0j])
-        expect = 2 * zs / (zs**2 + 1)
-        assert np.allclose([form.eta_at(z) for z in zs], expect, atol=1e-13)
+        expect = np.log(np.abs(2 * zs / (zs**2 + 1)))
+        assert np.allclose(form.potential_and_log_eta(zs)[1], expect, atol=1e-13)
 
     def test_pure_exact_part(self):
         # H = z puts a double pole at infinity: the form is inspectable only
         form = build_third_kind([], [0.0, 1.0])
         with pytest.raises(HypothesesFailed):
-            potential_f(form, 3.7 + 2j)
+            solve_phi_closed(form, 3.7 + 2j)
 
     def test_duplicate_pole(self):
         with pytest.raises(DuplicatePole):
@@ -97,11 +98,11 @@ class TestHypotheses:
 class TestPotential:
     def test_log_modulus(self):
         form = build_third_kind([(0j, 1.0)])
-        assert abs(potential_f(form, complex(math.e)) - 2.0) < 1e-14
+        assert abs(form.potential(complex(math.e)) - 2.0) < 1e-14
 
     def test_two_pole_value(self):
         form = build_third_kind([(1j, 1.0), (-1j, 1.0)])
-        assert abs(potential_f(form, 2 + 0j) - math.log(25.0)) < 1e-13
+        assert abs(form.potential(2 + 0j) - math.log(25.0)) < 1e-13
 
     def test_gradient_matches_form(self, test_forms):
         # df = omega + conj(omega): df/dx = 2 Re(eta), df/dy = -2 Im(eta)
@@ -116,9 +117,9 @@ class TestPotential:
                 count += 1
                 fx = (form.potential(z + h) - form.potential(z - h)) / (2 * h)
                 fy = (form.potential(z + 1j * h) - form.potential(z - 1j * h)) / (2 * h)
-                eta = form.eta_at(z)
-                assert abs(fx - 2 * eta.real) < 1e-6 * max(1, abs(eta))
-                assert abs(fy + 2 * eta.imag) < 1e-6 * max(1, abs(eta))
+                e = eta(form, z)
+                assert abs(fx - 2 * e.real) < 1e-6 * max(1, abs(e))
+                assert abs(fy + 2 * e.imag) < 1e-6 * max(1, abs(e))
 
     def test_fused_pass(self, test_forms):
         # the potential equals potential_many bit for bit; log|eta| keeps
@@ -128,7 +129,7 @@ class TestPotential:
         for form in test_forms + [build_third_kind([(0j, 1.0 + 0.5j), (1j, -2.0 - 1j)])]:
             f, log_abs_eta = form.potential_and_log_eta(zs)
             assert np.array_equal(f, form.potential_many(zs))
-            ref = np.log([abs(form.eta_at(z)) for z in zs])
+            ref = np.log([abs(eta(form, z)) for z in zs])
             assert np.max(np.abs(log_abs_eta - ref)) < 1e-12
 
     def test_log_term_removed_extends_continuously(self):
@@ -151,7 +152,7 @@ class TestPotential:
     def test_nonreal_residue_rejected(self):
         form = build_third_kind([(0j, 1j)])
         with pytest.raises(HypothesesFailed):
-            potential_f(form, 1.0 + 0j)
+            solve_phi_closed(form, 1.0 + 0j)
 
 
 class TestJson:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscforge import (
-    INFINITY,
     BadInitialValue,
     BasePointIsPole,
     HypothesesFailed,
@@ -17,10 +16,10 @@ from cscforge import (
     build_third_kind,
     integrate_phi_along_path,
     phi_field_from_a0,
-    phi_limit_at_pole,
     solve_phi_closed,
 )
 from cscforge import phifield
+from oracles import eta
 
 
 def power_form(alpha):
@@ -83,26 +82,11 @@ class TestClosedForm:
 
 
 class TestPoleLimits:
-    def test_positive_residue(self):
-        field = solve_phi_closed(power_form(3.0), 1.0 + 0j, 2.0)
-        assert phi_limit_at_pole(field, 0) == 0.0
-        assert phi_limit_at_pole(field, 0j) == 0.0
-
-    def test_negative_residue(self):
-        field = solve_phi_closed(power_form(-3.0), 1.0 + 0j, 2.0)
-        assert phi_limit_at_pole(field, 0) == 4.0
-
     def test_infinity(self):
+        # residue -2 at infinity: the field tends to 4 far out
         form = build_third_kind([(1j, 1.0), (-1j, 1.0)])
         field = solve_phi_closed(form, 1.0 + 0j, 2.0)
-        assert phi_limit_at_pole(field, INFINITY) == 4.0
-        # numerical confirmation far out
         assert abs(field.value(1e4 + 0j) - 4.0) < 1e-6
-
-    def test_not_a_pole(self):
-        field = solve_phi_closed(power_form(1.0), 1.0 + 0j, 2.0)
-        with pytest.raises(ValueError):
-            phi_limit_at_pole(field, 5.0 + 0j)
 
 
 class TestPathOracle:
@@ -246,7 +230,7 @@ class TestPathOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle evaluated the form or the closed form")
 
-        for name in ("potential_and_log_eta", "eta_at", "potential", "potential_many"):
+        for name in ("potential_and_log_eta", "potential", "potential_many"):
             monkeypatch.setattr(MeromorphicOneForm, name, refuse)
         monkeypatch.setattr(PhiField, "value", refuse)
         out = integrate_phi_along_path(form, [z1, z2], start)
@@ -319,5 +303,5 @@ class TestProperties:
             z = z0 + t * dz
             dphi = (field.value(z0 + (t + h) * dz) - field.value(z0 + (t - h) * dz)) / (2 * h)
             phi = field.value(z)
-            rhs = phi * (4.0 - phi) * 2.0 * (form.eta_at(z) * dz).real
+            rhs = phi * (4.0 - phi) * 2.0 * (eta(form, z) * dz).real
             assert abs(4.0 * dphi - rhs) < 1e-5 * max(1.0, abs(rhs))

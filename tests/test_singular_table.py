@@ -24,7 +24,6 @@ from cscforge import (
     is_infinity,
     negation_invariance_check,
     normalize_form,
-    potential_f,
     solve_phi_closed,
     standard_form,
 )
@@ -197,7 +196,7 @@ def test_exact_part_is_inspect_only(n_poles, h_degree):
     with pytest.raises(HypothesesFailed):
         solve_phi_closed(form, start, 2.0)
     with pytest.raises(HypothesesFailed):
-        potential_f(form, start)
+        classify_singular_points(form, 1)
     with pytest.raises(HypothesesFailed):
         integrate_phi_along_path(form, [start, start + 0.5], 2.0)
 
