@@ -12,14 +12,15 @@ over angles kills the angular dependence of the holomorphic factor.
 
 Total area is integrated by splitting the sphere into two chart disks at a
 ring kept clear of singular points, excising each conical point with a
-C^infinity bump (the exp(-1/x) partition of unity) and integrating the caps
-in log-radial coordinates, where the power profile becomes a clean
-exponential decay.  The remainder is smooth and periodic in theta, so
-Gauss-Legendre in r by the trapezoid rule in theta converges geometrically
-(Trefethen & Weideman, SIAM Review 2014).  Each piece of a chart (the
-remainder and each cap) doubles its nodes until the chart's two successive
-values agree; from the third level on, a piece that has already converged
-keeps its value.  The sum over charts of the last gaps, a kept piece's own
+C^infinity bump (the exp(-1/x) partition of unity, switching off across the
+whole cap) and integrating the caps in log-radial coordinates, where the
+power profile becomes a clean exponential decay.  The remainder is smooth
+and periodic in theta, so Gauss-Legendre in r by the trapezoid rule in theta
+converges geometrically (Trefethen & Weideman, SIAM Review 2014).  Each
+piece of a chart (the remainder and each cap) doubles its nodes, from a
+48x96 remainder grid up to 384x768, until the chart's two successive values
+agree; from the third level on, a piece that has already converged keeps
+its value.  The sum over charts of the last gaps, a kept piece's own
 last gap included, is reported as the area's error estimate, with the number
 of density points used.
 """
@@ -244,14 +245,16 @@ def estimate_cone_angle(
 # Total area quadrature
 # ---------------------------------------------------------------------------
 
-# Doubling schedule: level k uses (n_r, n_theta) = 2^k (96, 192) on a chart's
-# remainder and 2^k (24, 48) Gauss-Legendre nodes per panel by ring samples on
-# each of its caps.  Levels 0 and 1 evaluate every piece; from level 2 on a
-# piece whose last gap is at most _PIECE_RTOL of the chart value keeps its
-# value, and that gap joins the chart's.  A chart stops at the first level
-# whose gap is within _AREA_RTOL of its value, and at the top level whatever
-# the gap.
-_AREA_LEVELS = 3
+# Doubling schedule: level k uses (n_r, n_theta) = 2^k (48, 96) on a chart's
+# remainder and 2^k (12, 24) Gauss-Legendre nodes per panel by ring samples on
+# each of its caps, up to 384x768 and 96 nodes per panel at level 3.  The
+# bump falls gently across its whole cap, so the standard forms meet
+# _AREA_RTOL at level 1.  Levels 0 and 1 evaluate every piece; from level 2
+# on a piece whose last gap is at most _PIECE_RTOL of the chart value keeps
+# its value, and that gap joins the chart's.  A chart stops at the first
+# level whose gap is within _AREA_RTOL of its value, and at the top level
+# whatever the gap.
+_AREA_LEVELS = 4
 _AREA_RTOL = 1e-6
 _PIECE_RTOL = 1e-2 * _AREA_RTOL
 
@@ -267,9 +270,11 @@ class AreaEstimate:
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
-    """C^infinity cutoff: 1 for t <= 1/2, 0 for t >= 1, the exp(-1/x)
-    partition of unity in between."""
-    s = np.clip(2.0 * np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
+    """C^infinity cutoff over the whole cap: 1 at t = 0, 0 for t >= 1, the
+    exp(-1/x) partition of unity in between.  Its only non-analytic points
+    are t = 0 and t = 1, where the cap's panels end, and 1 - bump vanishes to
+    all orders at t = 0, so the remainder's weight stays smooth at a cone."""
+    s = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore"):
         on = np.exp(-1.0 / (1.0 - s))
         off = np.exp(-1.0 / s)
@@ -300,8 +305,8 @@ def _split_radius(finite_sing: Sequence[complex]) -> float:
 @functools.lru_cache(maxsize=None)
 def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [-1, 1] (read-only; the
-    doubling schedule asks for five sizes), by Newton's method on the
-    three-term recurrence: O(n^2) array work, where
+    doubling schedule asks for six sizes: 12, 24, 48, 96, 192 and 384), by
+    Newton's method on the three-term recurrence: O(n^2) array work, where
     ``numpy.polynomial.legendre.leggauss`` solves a dense n-by-n
     eigenproblem through threaded BLAS."""
     x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
@@ -329,10 +334,11 @@ def _gauss_legendre(lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.ndarra
 def _cap_area(field: DensityField, chart: str, center: complex, delta: float, a: float,
               n_gl: int, n_theta: int) -> Tuple[float, int]:
     """Area of the bump-weighted cap around one conical point, integrated in
-    log-radial coordinates r = delta * exp(-v): Gauss-Legendre in v on the
-    bump's transition [0, ln 2] and on [ln 2, v_max] separately (one panel
-    across the transition stalls near 5e-5 relative for small exponents),
-    the trapezoid rule in theta."""
+    log-radial coordinates r = delta * exp(-v): Gauss-Legendre in v on
+    [0, ln 2], which keeps the bump's steep half (r/delta from 1/2 to 1) on
+    a panel of its own, and on [ln 2, v_max] separately, the trapezoid rule
+    in theta.  The outer panel carries the bump's tail, so caps with
+    exponents below about 1.2 take more levels than the standard forms'."""
     v_max = max(10.0, 12.0 / a)
     v0, w0 = _gauss_legendre(0.0, math.log(2.0), n_gl)
     v1, w1 = _gauss_legendre(math.log(2.0), v_max, n_gl)
@@ -389,9 +395,9 @@ def _chart_area(field: DensityField, chart: str, chart_radius: float,
         caps.append((c, delta))
     # the pieces: the remainder, then each cap, each at a level's scale
     pieces = [lambda s: _chart_remainder(field, chart, chart_radius, caps,
-                                         96 * s, 192 * s)]
+                                         48 * s, 96 * s)]
     pieces += [lambda s, c=c, delta=delta, a=a: _cap_area(field, chart, c, delta, a,
-                                                          24 * s, 48 * s)
+                                                          12 * s, 24 * s)
                for (c, delta), (_, a) in zip(caps, local)]
     values = [math.nan] * len(pieces)
     gaps = [math.nan] * len(pieces)
