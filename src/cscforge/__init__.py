@@ -33,7 +33,6 @@ from .errors import (
     BadInitialValue,
     BasePointIsPole,
     CscForgeError,
-    DegenerateHyperbolicPoint,
     DuplicatePole,
     EvalAtPole,
     GridTouchesSingularity,

@@ -1,9 +1,9 @@
 """Points and polynomials on the Riemann sphere.
 
-:class:`ComplexPolynomial` has exact Gaussian-rational coefficients
-(:class:`ExactComplex`, backed by :class:`fractions.Fraction`), for identity
-work where coefficients must vanish exactly (the Wronskian identity of the
-classifier).  A form's exact part H is its tuple of complex coefficients.
+:class:`ComplexPolynomial` is a tuple of exact Gaussian-rational
+coefficients (:class:`ExactComplex`, backed by :class:`fractions.Fraction`)
+for the classifier's Wronskian identity, whose coefficients must vanish
+exactly.  A form's exact part H is its tuple of complex coefficients.
 
 The point at infinity is a distinguished value (:data:`INFINITY`), never a
 large coordinate.  A form's zeros come from eigenproblems on its pole data
@@ -122,9 +122,6 @@ class ExactComplex:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
-
     def __eq__(self, other):
         try:
             other = ExactComplex.coerce(other)
@@ -148,12 +145,12 @@ class ExactComplex:
 
 
 class ComplexPolynomial:
-    """Dense univariate polynomial with exact coefficients, stored in
-    ascending degree.
+    """Exact polynomial coefficients in ascending degree: the data of the
+    classifier's Wronskian identity.
 
     Every coefficient is coerced to :class:`ExactComplex`, so a float
-    raises ``TypeError``.  The zero polynomial has ``degree == -1`` and
-    ``is_zero`` set.
+    raises ``TypeError``.  Trailing zeros are dropped, so the zero
+    polynomial has ``degree == -1``.
     """
 
     __slots__ = ("coeffs",)
@@ -167,92 +164,10 @@ class ComplexPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexPolynomial is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient=1) -> "ComplexPolynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls([0] * degree + [coefficient])
-
-    # -- structure ---------------------------------------------------------
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 flags the zero polynomial."""
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading_coefficient(self):
-        if self.is_zero:
-            return None
-        return self.coeffs[-1]
-
-    def constant_term(self) -> ExactComplex:
-        if self.is_zero:
-            return ExactComplex(0)
-        return self.coeffs[0]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = ExactComplex(0)
-        out = []
-        for i in range(n):
-            ca = self.coeffs[i] if i < len(self.coeffs) else zero
-            cb = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(ca + cb)
-        return ComplexPolynomial(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return ComplexPolynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ComplexPolynomial()
-        out = [ExactComplex(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            for j, cb in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ca * cb
-        return ComplexPolynomial(out)
-
-    def derivative(self) -> "ComplexPolynomial":
-        if self.degree <= 0:
-            return ComplexPolynomial()
-        return ComplexPolynomial([i * c for i, c in enumerate(self.coeffs) if i >= 1])
-
-    def __call__(self, z) -> ExactComplex:
-        acc = ExactComplex(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"ComplexPolynomial({list(self.coeffs)!r})"
-
-    # -- roots -------------------------------------------------------------
 
     # No zero table calls this; it stays because perfbench/tracing.py traces it by name.
     def roots(self) -> np.ndarray:

@@ -141,13 +141,20 @@ def wronskian_identity_check(t: ComplexPolynomial, s: ComplexPolynomial):
     if alpha < 2 or s.degree != alpha:
         raise ValueError("need equal degrees >= 2")
     one = ExactComplex(1)
-    if t.leading_coefficient != one or s.leading_coefficient != one:
+    if t.coeffs[-1] != one or s.coeffs[-1] != one:
         raise ValueError("polynomials must be monic")
-    if not t.constant_term() or not s.constant_term():
+    t0, s0 = t.coeffs[0], s.coeffs[0]
+    if not t0 or not s0:
         raise ValueError("constant terms must be nonzero")
 
-    w = t.derivative() * s - t * s.derivative()
-    if w.is_zero:
+    # t's - ts' has the coefficient sum of (i - j) t_i s_j at z^(i+j-1)
+    w = [ExactComplex(0)] * (2 * alpha - 1)
+    for i, ti in enumerate(t.coeffs):
+        for j, sj in enumerate(s.coeffs):
+            if i != j:
+                w[i + j - 1] += (i - j) * ti * sj
+    w = ComplexPolynomial(w)
+    if w.degree < 0:
         raise ZeroMu("the Wronskian vanishes identically")
     if w.degree != alpha - 1:
         raise NotMonomialIdentity(
@@ -156,7 +163,7 @@ def wronskian_identity_check(t: ComplexPolynomial, s: ComplexPolynomial):
     for k, c in enumerate(w.coeffs[:-1]):
         if not c.is_zero:
             raise NotMonomialIdentity(f"Wronskian has a stray z^{k} term")
-    mu = w.leading_coefficient / alpha
+    mu = w.coeffs[-1] / alpha
 
     # forced conclusion: only the constant terms of t and s may differ from
     # z^alpha, and mu is exactly their difference
@@ -165,7 +172,7 @@ def wronskian_identity_check(t: ComplexPolynomial, s: ComplexPolynomial):
             raise NotMonomialIdentity(
                 "monomial Wronskian with surviving middle coefficient"
             )
-    if s.constant_term() - t.constant_term() != mu:
+    if s0 - t0 != mu:
         raise NotMonomialIdentity("mu does not match the constant-term gap")
     return alpha, mu
 

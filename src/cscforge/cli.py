@@ -10,7 +10,6 @@ is data (CSV/JSON) and byte-stable for a fixed invocation.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -71,25 +70,31 @@ _FAILURES = (
 )
 
 
+# the largest coordinate a point may have: with z and a pole a within it in
+# both coordinates, |z - a|^2 stays below half the float maximum
+_FAR = math.sqrt(sys.float_info.max) / 4.0
+
+
 def _parse_complex(value) -> complex:
-    """A finite point from 're,im', a complex literal or a job-file number."""
+    """A point within _FAR in both coordinates from 're,im', a complex literal
+    or a job-file number."""
     if isinstance(value, str):
         parts = value.split(",")
         z = complex(float(parts[0]), float(parts[1])) if len(parts) == 2 else complex(value)
     else:
         z = complex(value)
-    if not cmath.isfinite(z):
-        raise ValueError(f"point {value!r} is not finite")
+    if not (abs(z.real) <= _FAR and abs(z.imag) <= _FAR):
+        raise ValueError(f"point {value!r} needs both coordinates within {_FAR:.3g}")
     return z
 
 
 def _parse_grid(text: str) -> GridSpec:
     cx, cy, half, n = text.split(",")
     grid = GridSpec(complex(float(cx), float(cy)), float(half), int(n))
-    # the span 2 half and the extreme coordinates |c| + half must not overflow
+    # the extreme coordinates |c| + half, as _parse_complex bounds a point
     c, w = grid.center, abs(grid.half_width)
-    if not all(map(math.isfinite, (2.0 * w, abs(c.real) + w, abs(c.imag) + w))) or grid.n < 1:
-        raise ValueError(f"grid {text!r} needs finite points and n >= 1")
+    if not (abs(c.real) + w <= _FAR and abs(c.imag) + w <= _FAR) or grid.n < 1:
+        raise ValueError(f"grid {text!r} needs points within {_FAR:.3g} and n >= 1")
     return grid
 
 

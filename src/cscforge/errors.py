@@ -42,10 +42,6 @@ class StepUnderflow(CscForgeError):
     """The path integrator could not meet its agreement tolerance at its step floor."""
 
 
-class DegenerateHyperbolicPoint(CscForgeError):
-    """K = -1 density is undefined where the field value crosses 2."""
-
-
 class GridTouchesSingularity(CscForgeError):
     """A grid has no admissible points, or touches a singular point."""
 

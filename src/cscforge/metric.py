@@ -28,7 +28,7 @@ from typing import List, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateHyperbolicPoint, GridTouchesSingularity
+from .errors import GridTouchesSingularity
 from .forms import MeromorphicOneForm
 from .phifield import PhiField, solve_phi_closed
 from .singularities import (
@@ -138,22 +138,6 @@ class MetricField:
                 factor = _LOG4 - ax - 2.0 * tail
             out[lo:lo + _BLOCK] = factor + 2.0 * log_abs_eta + extra
         return out.reshape(pts.shape)
-
-    def density(self, z: complex) -> float:
-        """rho at a single point; 0 exactly at zeros of the form.
-
-        Raises :class:`EvalAtPole` on top of a pole and, for K = -1,
-        :class:`DegenerateHyperbolicPoint` where the field value is 2.
-        """
-        z = complex(z)
-        self.form._guard_pole(z)
-        if self.K == -1:
-            if abs(self.phi.value(z) - 2.0) <= 1e-9:
-                raise DegenerateHyperbolicPoint(
-                    f"field value is 2 at {z!r}; the K=-1 density degenerates"
-                )
-        val = self.log_density_many(np.array([z]))[0]
-        return float(np.exp(val))
 
 
 @dataclass(frozen=True)

@@ -110,11 +110,31 @@ class TestWronskianIdentity:
         s0 = ExactComplex(s0r, s0i)
         if t0.is_zero or s0.is_zero or t0 == s0:
             return
-        t = ComplexPolynomial.monomial(alpha, ExactComplex(1)) + ComplexPolynomial([t0])
-        s = ComplexPolynomial.monomial(alpha, ExactComplex(1)) + ComplexPolynomial([s0])
+        t = ComplexPolynomial([t0] + [0] * (alpha - 1) + [1])
+        s = ComplexPolynomial([s0] + [0] * (alpha - 1) + [1])
         got_alpha, mu = wronskian_identity_check(t, s)
         assert got_alpha == alpha
         assert mu == s0 - t0
+
+    @given(st.integers(2, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_against_numpy_expansion(self, alpha, data):
+        # monic t and s with small integer coefficients, whose Wronskian
+        # numpy expands exactly in floating point
+        const = st.sampled_from([-2, -1, 1, 2])
+        middle = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]),
+                          min_size=alpha - 1, max_size=alpha - 1)
+        tc = [data.draw(const)] + data.draw(middle) + [1]
+        sc = [data.draw(const)] + data.draw(middle) + [1]
+        P = np.polynomial.polynomial
+        w = P.polysub(P.polymul(P.polyder(tc), sc), P.polymul(tc, P.polyder(sc)))
+        terms = np.flatnonzero(w).tolist()
+        t, s = ComplexPolynomial(tc), ComplexPolynomial(sc)
+        if terms == [alpha - 1]:
+            assert wronskian_identity_check(t, s) == (alpha, ExactComplex(sc[0] - tc[0]))
+        else:
+            with pytest.raises(NotMonomialIdentity if terms else ZeroMu):
+                wronskian_identity_check(t, s)
 
 
 class TestNormalize:
@@ -289,7 +309,7 @@ class TestReduceToFootball:
             if form.min_pole_distance(p * w) < 0.1:
                 continue
             checked += 1
-            assert abs(density_at(fm, w) - m.density(p * w) * abs(p) ** 2) < 1e-9
+            assert abs(density_at(fm, w) - density_at(m, p * w) * abs(p) ** 2) < 1e-9
 
     def test_pipeline_equality(self):
         case = StandardFormCase("plus_minus", 3, a=-1.5 + 0.8j)
@@ -304,4 +324,4 @@ class TestReduceToFootball:
             if form.min_pole_distance(p * w) < 0.1:
                 continue
             checked += 1
-            assert abs(density_at(fm, w) - m.density(p * w) * abs(p) ** 2) < 1e-9
+            assert abs(density_at(fm, w) - density_at(m, p * w) * abs(p) ** 2) < 1e-9

@@ -443,22 +443,34 @@ class TestNumericSettings:
         ["phi", "--p0", "nan,0", "--at", "1,1"],
         ["phi", "--at", "inf"],
         ["angles", "--K", "1", "--radii", "nan,1e-3,5"],
+        # finite, but beyond the coordinate bound
+        ["phi", "--p0", "1e200,0", "--at", "1,1"],
+        ["phi", "--at", "1e200,0"],
     ])
     def test_bad_flag(self, capsys, argv):
         code, out, err = run(capsys, argv + ["--standard", "simple:lambda=2"])
         assert (code, out) == (1, "")
         assert err.startswith("parse error:")
 
-    @pytest.mark.parametrize("grid", ["0,0,1e308,3", "1.7e308,0,1e307,3"],
-                             ids=["span", "corner"])
+    @pytest.mark.parametrize("grid", ["0,0,1e308,3", "1.7e308,0,1e307,3", "0,0,1e200,3"],
+                             ids=["span", "corner", "far"])
     @pytest.mark.parametrize("argv", [["phi"], ["metric", "--K", "1"], ["verify", "--K", "1"]],
                              ids=["phi", "metric", "verify"])
     def test_grid_points_overflow(self, capsys, argv, grid):
         # a finite center and half-width whose span 2 half, or whose corner
-        # |c| + half, overflows
+        # |c| + half, overflows, or whose |z - a|^2 would
         code, out, err = run(capsys, argv + ["--standard", "unit:alpha=3", "--grid", grid])
         assert (code, out) == (1, "")
         assert err.startswith("parse error: grid")
+
+    def test_far_grid_inside_the_bound(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["phi", "--standard", "unit:alpha=3",
+                                          "--grid", "0,0,1e153,3"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 10
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("job", [
         {"K": 1.5, "at": ["1,1"]},
